@@ -14,18 +14,19 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from functools import partial
 
 from . import dataset as ds
 from .clausemap import decompose, sql_to_clause_map, to_sql
-from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
-from .editscript import EditAction, EditScript, parse_edits, render_edits
-from .errors import SqlPatchError
+from .editscript import GRANULARITIES, EditAction, EditScript, parse_edits, render_edits
+from .errors import DatasetError, SchemaError, SqlPatchError
 from .interact import OracleGenerator, SubprocessGenerator, simulate
 from .metrics import (
     EvalOutcome, SqliteBackend, exact_set_match, execution_match, mcnemar_counts,
 )
 from .parse import parse_sql
-from .program import parse_program, render_program
+from .program import parse_program
 from .pydict import parse_pydict, render_pydict
 from .render import render
 from .schema import load_tables_json
@@ -83,23 +84,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("diff", "compute edits turning the wrong query into the gold query", _cmd_diff)
     add_schema(p)
-    p.add_argument("--granularity", required=True,
-                   choices=["token", "clause-sql", "clause-pydict", "program"])
+    p.add_argument("--granularity", required=True, choices=list(ds.REPRESENTATIONS))
     p.add_argument("--wrong", required=True, help="file with the wrong SQL query")
     p.add_argument("--gold", required=True, help="file with the gold SQL query")
 
     p = cmd("render-edits", "convert edit actions between JSON lines and marker text",
             _cmd_render_edits)
-    p.add_argument("--granularity", required=True,
-                   choices=["token", "clause-sql", "clause-pydict"])
+    p.add_argument("--granularity", required=True, choices=list(GRANULARITIES))
     p.add_argument("--parse", action="store_true",
                    help="read marker text and emit JSON lines instead")
     add_input(p, "edit actions")
 
     p = cmd("apply", "apply an edit script to a query", _cmd_apply)
     add_schema(p, required=False)
-    p.add_argument("--granularity", required=True,
-                   choices=["token", "clause-sql", "clause-pydict"])
+    p.add_argument("--granularity", required=True, choices=list(GRANULARITIES))
     p.add_argument("--wrong", required=True, help="file with the query to patch")
     p.add_argument("--edits", required=True, help="file with marker-format edits")
     p.add_argument("--report", action="store_true",
@@ -199,6 +197,42 @@ def _query_from_text(text: str, args, parser):
     return parse_sql(text.strip(), schema)
 
 
+def _map_lines(fn, path, workers: int):
+    """Yield fn(line) for every non-blank JSONL input line, in input order;
+    on a process pool when workers > 1, whose initializer hands fn, with
+    the schemas bound in it, to each worker once. A domain error ends the
+    run and names its 1-based line."""
+    numbered = [(n, line) for n, line in enumerate(_read(path).splitlines(), 1)
+                if line.strip()]
+    lines = [line for _, line in numbered]
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(fn,)))
+            mapped = pool.map(_worker_call, lines)
+        else:
+            mapped = map(fn, lines)
+        done = 0
+        try:
+            for result in mapped:
+                yield result
+                done += 1
+        except SqlPatchError as exc:
+            raise SqlPatchError(f"line {numbered[done][0]}: {exc}") from None
+
+
+_worker_fn = None  # a pool worker's per-line function, set by _init_worker
+
+
+def _init_worker(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _worker_call(line):
+    return _worker_fn(line)
+
+
 def _map_for_apply(text: str, args, parser):
     """Clause map of the query being patched: via the parser when a schema
     is given, lexically when the text is already canonical."""
@@ -232,14 +266,8 @@ def _cmd_diff(args, parser) -> int:
     schema = _schema_for(schemas, args.db_id, parser)
     wrong = parse_sql(_read(args.wrong).strip(), schema)
     gold = parse_sql(_read(args.gold).strip(), schema)
-    if args.granularity == "program":
-        print(render_program(diff_program(decompose(wrong), decompose(gold))))
-    elif args.granularity == "token":
-        print(render_edits(diff_tokens(wrong, gold)))
-    elif args.granularity == "clause-sql":
-        print(render_edits(diff_clauses_sql(wrong, gold)))
-    else:
-        print(render_edits(diff_clauses_pydict(decompose(wrong), decompose(gold))))
+    rep = ds.REPRESENTATIONS[args.granularity]
+    print(rep.render_edits(rep.diff(wrong, gold)))
     return 0
 
 
@@ -282,37 +310,27 @@ def _cmd_exec_program(args, parser) -> int:
     return 0
 
 
-def _eval_one(packed):
-    line, schema_entry = packed
+def _eval_line(line, schemas, backend):
     obj = json.loads(line)
-    schema = schema_entry[obj["db_id"]]
+    schema = schemas.get(obj["db_id"])
+    if schema is None:
+        raise SchemaError(f"db_id {obj['db_id']!r} not present in the schema file")
     pred = parse_sql(obj["pred"], schema)
     gold = parse_sql(obj["gold"], schema)
-    return exact_set_match(pred, gold)
+    ex = None
+    if backend is not None:
+        ex = execution_match(render(pred), render(gold), obj["db_id"], backend)
+    return EvalOutcome(exact_set_match(pred, gold), ex)
 
 
 def _cmd_eval(args, parser) -> int:
     schemas = _load_schema(args, parser)
-    lines = _read_lines(args.input)
     backend = SqliteBackend(args.db_dir) if args.db_dir else None
-    outcomes: list[EvalOutcome] = []
-    if backend is None and args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            ems = list(pool.map(_eval_one, ((line, schemas) for line in lines)))
-        outcomes = [EvalOutcome(em) for em in ems]
-    else:
-        for line in lines:
-            obj = json.loads(line)
-            schema = _schema_for(schemas, obj["db_id"], parser)
-            pred = parse_sql(obj["pred"], schema)
-            gold = parse_sql(obj["gold"], schema)
-            em = exact_set_match(pred, gold)
-            ex = None
-            if backend is not None:
-                ex = execution_match(render(pred), render(gold), obj["db_id"], backend)
-            outcomes.append(EvalOutcome(em, ex))
-    for outcome in outcomes:
+    outcomes = []
+    for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
+                              args.input, 1 if backend else args.workers):
         print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
+        outcomes.append(outcome)
     n = len(outcomes)
     if n:
         summary = {"count": n, "em_acc": sum(o.em for o in outcomes) / n}
@@ -335,37 +353,23 @@ def _cmd_mcnemar(args, parser) -> int:
     return 0
 
 
-def _synth_one(packed):
-    line, schemas, policy, reps, program_only = packed
+def _synth_line(line, **options):
     output = ds.ParserOutput.from_json(line)
-    records = ds.synthesize_train([output], schemas, policy=policy,
-                                  reps=reps, program_only=program_only)
-    return [r.to_json() for r in records]
+    return [r.to_json() for r in ds.synthesize_train([output], **options)]
 
 
 def _cmd_synth(args, parser) -> int:
-    if args.edit_rep == "program" and args.query_rep != "pydict":
-        parser.error("--edit-rep program requires --query-rep pydict")
-    if args.edit_rep == "token" and args.query_rep != "sql":
-        parser.error("--edit-rep token requires --query-rep sql")
+    try:
+        ds.representation(args.query_rep, args.edit_rep)
+    except DatasetError as exc:
+        parser.error(str(exc))
     schemas = _load_schema(args, parser)
-    lines = _read_lines(args.input)
-    reps = [(args.query_rep, args.edit_rep)]
-    if not args.db_dir and args.workers > 1:
-        packed = ((line, schemas, args.policy, reps, args.program_only)
-                  for line in lines)
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for chunk in pool.map(_synth_one, packed):
-                for line in chunk:
-                    print(line)
-        return 0
-    outputs = ds.read_parser_outputs(lines)
     backend = SqliteBackend(args.db_dir) if args.db_dir else None
-    records = ds.synthesize_train(
-        outputs, schemas, backend=backend, policy=args.policy,
-        reps=reps, program_only=args.program_only)
-    for record in records:
-        print(record.to_json())
+    synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
+                    reps=[(args.query_rep, args.edit_rep)], program_only=args.program_only)
+    for records in _map_lines(synth, args.input, 1 if backend else args.workers):
+        for record in records:
+            print(record)
     return 0
 
 
@@ -408,7 +412,7 @@ def _cmd_simulate(args, parser) -> int:
     external = SubprocessGenerator(args.generator_cmd.split()) if args.generator_cmd else None
     try:
         for record in records:
-            gold_text, _ = _gold_edits_for(record, schemas, parser)
+            gold_text = _gold_edits_for(record, schemas, parser)
             if external is not None:
                 generator = external
             else:
@@ -429,15 +433,8 @@ def _gold_edits_for(record, schemas, parser):
     if schemas is None:
         parser.error("--schema is required for simulate")
     schema = _schema_for(schemas, record.db_id, parser)
-    wrong = parse_sql(record.wrong_sql, schema)
-    gold = parse_sql(record.gold_sql, schema)
-    if record.edit_rep == "program":
-        return diff_program(decompose(wrong), decompose(gold)), "program"
-    if record.edit_rep == "token":
-        return diff_tokens(wrong, gold), "token"
-    if record.query_rep == "sql":
-        return diff_clauses_sql(wrong, gold), "clause-sql"
-    return diff_clauses_pydict(decompose(wrong), decompose(gold)), "clause-pydict"
+    rep = ds.representation(record.query_rep, record.edit_rep)
+    return rep.diff(parse_sql(record.wrong_sql, schema), parse_sql(record.gold_sql, schema))
 
 
 if __name__ == "__main__":

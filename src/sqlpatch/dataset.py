@@ -13,25 +13,141 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
-from .clausemap import decompose
+from .clausemap import CLAUSE_INDEX, decompose, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
-from .editscript import render_edits
+from .editscript import EditScript, parse_edits, render_edits
 from .errors import DatasetError, ExecutionError, SqlPatchError
 from .metrics import EvalOutcome, ExecBackend, exact_set_match, execution_match
 from .parse import parse_sql
-from .program import render_program
+from .program import EditProgram, Pop, parse_program, render_program
 from .pydict import render_pydict
 from .render import render
 from .schema import SchemaInfo
+from .vm import apply_clause_edits, apply_token_edits, clause_content_pairs, exec_program
 
-QUERY_REPS = ("sql", "pydict")
-EDIT_REPS = ("token", "clause", "program")
-REP_COMBOS = (("sql", "token"), ("sql", "clause"),
-              ("pydict", "clause"), ("pydict", "program"))
 POLICIES = ("either", "both")
 
 X_SEPARATOR = " | "
 Y_SEPARATOR = " <sep> "
+
+
+# ---------------------------------------------------------------------------
+# Representations
+
+
+class Representation:
+    """One valid (query rep, edit rep) pairing, named by its granularity.
+
+    This base row holds marker-format clause scripts over a query in SQL
+    text; the rows below override what differs. Every operation calls the
+    public functions through this module's globals when it runs, so a
+    wrapper bound over one of those names later (a tracer, a profiler) sees
+    the calls made through the table.
+    """
+
+    granularity = query_rep = edit_rep = ""
+
+    def diff(self, wrong_ast, gold_ast):
+        """The edit script or program that turns the wrong query into the gold one."""
+        raise NotImplementedError
+
+    def render_edits(self, edits) -> str:
+        return render_edits(edits)
+
+    def parse_edits(self, text: str):
+        return parse_edits(text, self.granularity)
+
+    def apply(self, wrong_sql: str, items) -> str:
+        """Apply actions (or statements), in the order given, to canonical SQL."""
+        script = EditScript(self.granularity, tuple(items))
+        return to_sql(apply_clause_edits(sql_to_clause_map(wrong_sql), script))
+
+    def render_query(self, ast) -> str:
+        return render(ast)
+
+    def order(self, action) -> tuple:
+        """Sort key of an action selected out of order: the canonical index
+        of the first clause key its content names, top-level key only."""
+        try:
+            key = clause_content_pairs(action.old or action.new, self.granularity)[0][0]
+        except SqlPatchError:
+            return (len(CLAUSE_INDEX),)
+        return (CLAUSE_INDEX[key],)
+
+
+class _TokenEdits(Representation):
+    granularity, query_rep, edit_rep = "token", "sql", "token"
+
+    def diff(self, wrong_ast, gold_ast):
+        return diff_tokens(wrong_ast, gold_ast)
+
+    def apply(self, wrong_sql: str, items) -> str:
+        return apply_token_edits(wrong_sql, EditScript("token", tuple(items))).result
+
+    def order(self, action) -> tuple:
+        return ()  # token edits apply in the order they were selected
+
+
+class _ClauseSqlEdits(Representation):
+    granularity, query_rep, edit_rep = "clause-sql", "sql", "clause"
+
+    def diff(self, wrong_ast, gold_ast):
+        return diff_clauses_sql(wrong_ast, gold_ast)
+
+
+class _PydictQuery(Representation):
+    query_rep = "pydict"
+
+    def render_query(self, ast) -> str:
+        return render_pydict(decompose(ast))
+
+
+class _ClausePydictEdits(_PydictQuery):
+    granularity, edit_rep = "clause-pydict", "clause"
+
+    def diff(self, wrong_ast, gold_ast):
+        return diff_clauses_pydict(decompose(wrong_ast), decompose(gold_ast))
+
+
+class _ProgramEdits(_PydictQuery):
+    granularity, edit_rep = "program", "program"
+
+    def diff(self, wrong_ast, gold_ast):
+        return diff_program(decompose(wrong_ast), decompose(gold_ast))
+
+    def render_edits(self, edits) -> str:
+        return render_program(edits)
+
+    def parse_edits(self, text: str):
+        return parse_program(text)
+
+    def apply(self, wrong_sql: str, items) -> str:
+        return to_sql(exec_program(sql_to_clause_map(wrong_sql), EditProgram(tuple(items))))
+
+    def order(self, stmt) -> tuple:
+        """Canonical walk order of the entry a statement targets."""
+        path = stmt.path + (stmt.key,) if isinstance(stmt, Pop) else stmt.path
+        return tuple((0, CLAUSE_INDEX[part]) if part in CLAUSE_INDEX
+                     else (1, int(part.removeprefix("subquery"))) for part in path)
+
+
+REPRESENTATIONS = {rep.granularity: rep for rep in (
+    _TokenEdits(), _ClauseSqlEdits(), _ClausePydictEdits(), _ProgramEdits())}
+QUERY_REPS = tuple(dict.fromkeys(rep.query_rep for rep in REPRESENTATIONS.values()))
+EDIT_REPS = tuple(dict.fromkeys(rep.edit_rep for rep in REPRESENTATIONS.values()))
+REP_COMBOS = tuple((rep.query_rep, rep.edit_rep) for rep in REPRESENTATIONS.values())
+
+
+def representation(query_rep: str, edit_rep: str) -> Representation:
+    """The table row of a (query rep, edit rep) pair; the DatasetError for
+    an invalid pair names the query rep its edit rep requires."""
+    for rep in REPRESENTATIONS.values():
+        if (rep.query_rep, rep.edit_rep) == (query_rep, edit_rep):
+            return rep
+    valid = [rep.query_rep for rep in REPRESENTATIONS.values() if rep.edit_rep == edit_rep]
+    if query_rep not in QUERY_REPS or not valid:
+        raise DatasetError(f"unknown representation {query_rep!r}/{edit_rep!r}")
+    raise DatasetError(f"{edit_rep} edits require the {' or '.join(valid)} query representation")
 
 
 @dataclass(frozen=True)
@@ -191,38 +307,20 @@ def make_record(output: ParserOutput, rank: int, score: float, schema: SchemaInf
                 wrong_ast, gold_ast, query_rep: str, edit_rep: str,
                 program_only: bool = False) -> Optional[ExampleRecord]:
     """Build one ExampleRecord, or None when the pair has no edits."""
-    edits_text, n_edits = render_edit_target(wrong_ast, gold_ast, query_rep, edit_rep)
-    if n_edits == 0:
+    rep = representation(query_rep, edit_rep)
+    edits = rep.diff(wrong_ast, gold_ast)
+    if not edits:
         return None
     x, y = serialize_example(output.question, schema.serialize(), wrong_ast, gold_ast,
-                             query_rep, edit_rep, program_only, edits_text=edits_text)
+                             query_rep, edit_rep, program_only,
+                             edits_text=rep.render_edits(edits))
     return ExampleRecord(
         db_id=output.db_id, question=output.question,
         schema_serial=schema.serialize(),
         wrong_sql=render(wrong_ast), gold_sql=render(gold_ast),
         query_rep=query_rep, edit_rep=edit_rep, x=x, y=y,
-        n_edits=n_edits, beam_rank=rank, beam_score=score,
+        n_edits=len(edits), beam_rank=rank, beam_score=score,
     )
-
-
-def render_edit_target(wrong_ast, gold_ast, query_rep: str, edit_rep: str):
-    """Rendered edit text plus the action/statement count for one rep combo."""
-    if query_rep not in QUERY_REPS or edit_rep not in EDIT_REPS:
-        raise DatasetError(f"unknown representation {query_rep!r}/{edit_rep!r}")
-    if edit_rep == "program":
-        if query_rep != "pydict":
-            raise DatasetError("program edits require the pydict query representation")
-        program = diff_program(decompose(wrong_ast), decompose(gold_ast))
-        return render_program(program), len(program)
-    if edit_rep == "token":
-        if query_rep != "sql":
-            raise DatasetError("token edits require the sql query representation")
-        script = diff_tokens(wrong_ast, gold_ast)
-    elif query_rep == "sql":
-        script = diff_clauses_sql(wrong_ast, gold_ast)
-    else:
-        script = diff_clauses_pydict(decompose(wrong_ast), decompose(gold_ast))
-    return render_edits(script), len(script)
 
 
 def serialize_example(question: str, schema_serial: str, wrong_ast, gold_ast,
@@ -230,22 +328,18 @@ def serialize_example(question: str, schema_serial: str, wrong_ast, gold_ast,
                       edits_text: Optional[str] = None) -> tuple[str, str]:
     """Build the (x, y) pair: x = utterance | schema | wrong query, and
     y = edits <sep> gold query (or the edits alone in program-only mode)."""
+    rep = representation(query_rep, edit_rep)
     if edits_text is None:
-        edits_text, n_edits = render_edit_target(wrong_ast, gold_ast, query_rep, edit_rep)
-        if n_edits == 0:
+        edits = rep.diff(wrong_ast, gold_ast)
+        if not edits:
             raise DatasetError("refusing to serialize a pair with no edits")
-    if query_rep == "sql":
-        wrong_repr = render(wrong_ast)
-        gold_repr = render(gold_ast)
-    else:
-        wrong_repr = render_pydict(decompose(wrong_ast))
-        gold_repr = render_pydict(decompose(gold_ast))
-    x = X_SEPARATOR.join([question, schema_serial, wrong_repr])
+        edits_text = rep.render_edits(edits)
+    x = X_SEPARATOR.join([question, schema_serial, rep.render_query(wrong_ast)])
     if program_only:
         if edit_rep != "program":
             raise DatasetError("program-only serialization requires program edits")
         return x, edits_text
-    return x, edits_text + Y_SEPARATOR + gold_repr
+    return x, edits_text + Y_SEPARATOR + rep.render_query(gold_ast)
 
 
 # ---------------------------------------------------------------------------

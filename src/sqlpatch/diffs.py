@@ -18,7 +18,7 @@ from .clausemap import (
 from .editscript import EditAction, EditScript
 from .nodes import Query
 from .program import Assign, EditProgram, Pop
-from .pydict import render_entry_fragment, render_entry_fragments
+from .pydict import render_entry_fragment
 from .render import render_tokens
 from .tokens import detokenize, tokenize
 
@@ -153,36 +153,24 @@ def _walk(wrong: ClauseMap, gold: ClauseMap, path: tuple[str, ...]) -> list[Diff
 
 
 def diff_clauses_sql(wrong: MapLike, gold: MapLike) -> EditScript:
-    actions = []
-    for item in clause_diff_items(wrong, gold):
-        if item.kind == "replace":
-            (key, old), = item.old
-            (_, new), = item.pairs
-            actions.append(EditAction("replace", old=entry_sql(key, old),
-                                      new=entry_sql(key, new)))
-        elif item.kind == "delete":
-            (key, old), = item.old
-            actions.append(EditAction("delete", old=entry_sql(key, old)))
-        else:
-            text = " ".join(entry_sql(k, e) for k, e in item.pairs)
-            actions.append(EditAction("insert", new=text))
-    return EditScript("clause-sql", tuple(actions))
+    return _clause_script(wrong, gold, "clause-sql", entry_sql, " ")
 
 
 def diff_clauses_pydict(wrong: MapLike, gold: MapLike) -> EditScript:
+    return _clause_script(wrong, gold, "clause-pydict", render_entry_fragment, ", ")
+
+
+def _clause_script(wrong: MapLike, gold: MapLike, granularity: str,
+                   render_entry, separator: str) -> EditScript:
+    """One action per diff item; each side renders its (key, entry) pairs
+    with ``render_entry`` joined by ``separator``, so a replace or delete
+    names one entry and an insert names its whole contiguous run."""
     actions = []
     for item in clause_diff_items(wrong, gold):
-        if item.kind == "replace":
-            (key, old), = item.old
-            (_, new), = item.pairs
-            actions.append(EditAction("replace", old=render_entry_fragment(key, old),
-                                      new=render_entry_fragment(key, new)))
-        elif item.kind == "delete":
-            (key, old), = item.old
-            actions.append(EditAction("delete", old=render_entry_fragment(key, old)))
-        else:
-            actions.append(EditAction("insert", new=render_entry_fragments(item.pairs)))
-    return EditScript("clause-pydict", tuple(actions))
+        old = separator.join(render_entry(k, e) for k, e in item.old)
+        new = separator.join(render_entry(k, e) for k, e in item.pairs)
+        actions.append(EditAction(item.kind, old=old, new=new))
+    return EditScript(granularity, tuple(actions))
 
 
 def diff_program(wrong: MapLike, gold: MapLike) -> EditProgram:

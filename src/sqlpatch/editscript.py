@@ -59,6 +59,9 @@ class EditScript:
     def __len__(self):
         return len(self.actions)
 
+    def __iter__(self):
+        return iter(self.actions)
+
 
 def render_edits(script: EditScript) -> str:
     parts = []

@@ -18,12 +18,10 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
-from .clausemap import CLAUSE_INDEX, sql_to_clause_map, to_sql
-from .dataset import ExampleRecord
-from .editscript import EditAction, EditScript, parse_edits, render_edits
+from .dataset import ExampleRecord, representation
+from .editscript import EditScript, render_edits
 from .errors import SqlPatchError
-from .program import EditProgram, Pop, parse_program, render_program
-from .vm import apply_clause_edits, apply_token_edits, exec_program
+from .program import EditProgram, render_program
 
 
 @dataclass(frozen=True)
@@ -104,53 +102,9 @@ def execute_selected(record: ExampleRecord, selected: Sequence[str]) -> str:
     """Apply the selected actions to the initial wrong query with the edit
     interpreter; selections may arrive out of canonical order and are
     re-sorted by their target."""
-    if record.edit_rep == "program":
-        stmts = []
-        for line in selected:
-            stmts.extend(parse_program(line).stmts)
-        program = EditProgram(tuple(sorted(stmts, key=_stmt_order)))
-        return to_sql(exec_program(sql_to_clause_map(record.wrong_sql), program))
-    granularity = "token" if record.edit_rep == "token" else (
-        "clause-sql" if record.query_rep == "sql" else "clause-pydict")
-    actions: list[EditAction] = []
-    for text in selected:
-        actions.extend(parse_edits(text, granularity).actions)
-    if granularity == "token":
-        script = EditScript("token", tuple(actions))
-        return apply_token_edits(record.wrong_sql, script).result
-    script = EditScript(granularity, tuple(sorted(actions, key=_action_order)))
-    return to_sql(apply_clause_edits(sql_to_clause_map(record.wrong_sql), script))
-
-
-def _path_key(path) -> tuple:
-    out = []
-    for part in path:
-        if part in CLAUSE_INDEX:
-            out.append((0, CLAUSE_INDEX[part]))
-        else:
-            out.append((1, int(part.removeprefix("subquery"))))
-    return tuple(out)
-
-
-def _stmt_order(stmt) -> tuple:
-    if isinstance(stmt, Pop):
-        return _path_key(stmt.path + (stmt.key,))
-    return _path_key(stmt.path)
-
-
-def _action_order(action: EditAction) -> tuple:
-    from .clausemap import split_clause_texts
-    from .pydict import parse_entry_fragments
-
-    content = action.old or action.new
-    try:
-        if content.lstrip().startswith('"'):
-            key = parse_entry_fragments(content)[0][0]
-        else:
-            key = split_clause_texts(content)[0][0]
-    except SqlPatchError:
-        return (len(CLAUSE_INDEX),)
-    return (CLAUSE_INDEX.get(key, len(CLAUSE_INDEX)),)
+    rep = representation(record.query_rep, record.edit_rep)
+    items = [item for text in selected for item in rep.parse_edits(text)]
+    return rep.apply(record.wrong_sql, sorted(items, key=rep.order))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +187,9 @@ class SubprocessGenerator:
                 for c in response.get("candidates", [])]
 
     def close(self):
-        if self.proc.stdin:
-            self.proc.stdin.close()
+        self.proc.stdin.close()
         self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -14,16 +14,17 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
+from .clausemap import CLAUSE_INDEX
 from .errors import ProgramError
+from .pydict import Cursor, lex
 
 _SUBQUERY_RE = re.compile(r"^subquery\d+$")
 
 
 def _check_key(key: str, line=None):
-    from .clausemap import CLAUSE_INDEX
-
     if key not in CLAUSE_INDEX and not _SUBQUERY_RE.match(key):
         raise ProgramError(f"invalid key {key!r}", line=line)
 
@@ -61,6 +62,9 @@ class EditProgram:
     def __len__(self):
         return len(self.stmts)
 
+    def __iter__(self):
+        return iter(self.stmts)
+
 
 def render_program(program: EditProgram) -> str:
     lines = []
@@ -76,101 +80,45 @@ def render_program(program: EditProgram) -> str:
 
 def parse_program(text: str) -> EditProgram:
     stmts: list[EditStmt] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        stmts.append(_parse_stmt(line, lineno))
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            stmts.append(_parse_stmt(line, lineno))
     return EditProgram(tuple(stmts))
 
 
 def _parse_stmt(line: str, lineno: int) -> EditStmt:
-    cur = _Scanner(line, lineno)
-    root = cur.take_name()
-    if root != "sql":
-        raise ProgramError(f"root variable must be 'sql', got {root!r}", line=lineno)
+    error = partial(ProgramError, line=lineno)
+    cur = Cursor(lex(line, error), error)
+    root = cur.next()
+    if root[:2] != ("name", "sql"):
+        raise error(f"root variable must be 'sql', got {root[1]!r}")
     path: list[str] = []
     while cur.accept("["):
-        key = cur.take_string("key")
+        key = _take_string(cur, "key")
         cur.expect("]")
         _check_key(key, lineno)
         path.append(key)
     if cur.accept("."):
-        name = cur.take_name()
-        if name != "pop":
-            raise ProgramError(f"only .pop(...) calls are allowed, got .{name}", line=lineno)
+        name = cur.next()
+        if name[:2] != ("name", "pop"):
+            raise error(f"only .pop(...) calls are allowed, got .{name[1]}")
         cur.expect("(")
-        key = cur.take_string("key")
+        key = _take_string(cur, "key")
         cur.expect(")")
         cur.expect_end()
         _check_key(key, lineno)
         return Pop(tuple(path), key)
     if cur.accept("="):
         if not path:
-            raise ProgramError("whole-map assignment is not in the edit language", line=lineno)
-        value = cur.take_string("value")
+            raise error("whole-map assignment is not in the edit language")
+        value = _take_string(cur, "value")
         cur.expect_end()
         return Assign(tuple(path), value)
-    raise ProgramError(f"expected '[', '.pop' or '=' after path: {line!r}", line=lineno)
+    raise error(f"expected '[', '.pop' or '=' after path: {line.strip()!r}")
 
 
-class _Scanner:
-    def __init__(self, line: str, lineno: int):
-        self.line = line
-        self.lineno = lineno
-        self.i = 0
-
-    def _skip_ws(self):
-        while self.i < len(self.line) and self.line[self.i].isspace():
-            self.i += 1
-
-    def accept(self, char: str) -> bool:
-        self._skip_ws()
-        if self.i < len(self.line) and self.line[self.i] == char:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, char: str):
-        if not self.accept(char):
-            got = self.line[self.i] if self.i < len(self.line) else "end of line"
-            raise ProgramError(f"expected {char!r}, got {got!r}", line=self.lineno)
-
-    def expect_end(self):
-        self._skip_ws()
-        if self.i < len(self.line):
-            raise ProgramError(
-                f"unexpected trailing content {self.line[self.i:]!r}", line=self.lineno)
-
-    def take_name(self) -> str:
-        self._skip_ws()
-        j = self.i
-        while j < len(self.line) and (self.line[j].isalnum() or self.line[j] == "_"):
-            j += 1
-        if j == self.i:
-            got = self.line[self.i] if self.i < len(self.line) else "end of line"
-            raise ProgramError(f"expected a name, got {got!r}", line=self.lineno)
-        name = self.line[self.i:j]
-        self.i = j
-        return name
-
-    def take_string(self, what: str) -> str:
-        self._skip_ws()
-        if self.i >= len(self.line) or self.line[self.i] != '"':
-            got = self.line[self.i] if self.i < len(self.line) else "end of line"
-            raise ProgramError(f"{what} must be double-quoted, got {got!r}", line=self.lineno)
-        buf = []
-        j = self.i + 1
-        while j < len(self.line) and self.line[j] != '"':
-            if self.line[j] == "\\":
-                j += 1
-                if j >= len(self.line):
-                    raise ProgramError("unterminated escape sequence", line=self.lineno)
-                buf.append({"n": "\n", "t": "\t"}.get(self.line[j], self.line[j]))
-            else:
-                buf.append(self.line[j])
-            j += 1
-        if j >= len(self.line):
-            raise ProgramError(f"unterminated {what} string", line=self.lineno)
-        self.i = j + 1
-        return "".join(buf)
+def _take_string(cur: Cursor, what: str) -> str:
+    tok = cur.next()
+    if tok[0] != "str":
+        raise cur.error(f"{what} must be double-quoted, got {tok[1]!r}")
+    return tok[1]

@@ -12,6 +12,7 @@ mapping with the ``clause`` text first and subqueries after it.
 from __future__ import annotations
 
 import json
+import re
 
 from .clausemap import CLAUSE_INDEX, ClauseMap, Composite, Entry
 from .errors import MapError, PyDictError
@@ -24,10 +25,6 @@ def render_pydict(cm: ClauseMap, pretty: bool = False) -> str:
 def render_entry_fragment(key: str, entry: Entry) -> str:
     """One ``"key": value`` pair in compact form (edit-action payloads)."""
     return f"{json.dumps(key)}: {_render_value(entry, False, 0)}"
-
-
-def render_entry_fragments(pairs) -> str:
-    return ", ".join(render_entry_fragment(k, e) for k, e in pairs)
 
 
 def _render_container(container, pretty: bool, indent: int) -> str:
@@ -59,8 +56,7 @@ def _render_value(value, pretty: bool, indent: int) -> str:
 def parse_pydict(text: str) -> ClauseMap:
     """Inverse of :func:`render_pydict`; accepts both compact and pretty
     output plus arbitrary whitespace between lexical elements."""
-    tokens = _lex(text)
-    cur = _Cursor(tokens)
+    cur = Cursor(lex(text))
     name = cur.next()
     if name[0] != "name" or name[1] != "sql":
         raise PyDictError("clause-dictionary text must start with 'sql ='")
@@ -74,8 +70,7 @@ def parse_pydict(text: str) -> ClauseMap:
 
 def parse_entry_fragments(text: str) -> list[tuple[str, Entry]]:
     """Parse ``"key": value, "key": value`` pairs (edit-action payloads)."""
-    tokens = _lex(text)
-    cur = _Cursor(tokens)
+    cur = Cursor(lex(text))
     pairs = [_pair(cur)]
     while cur.accept(","):
         pairs.append(_pair(cur))
@@ -157,10 +152,31 @@ def _assemble(pairs):
 
 
 # ---------------------------------------------------------------------------
-# Lexer for the mini-grammar
+# Lexer and token cursor, shared with the edit-program parser
+
+# A double-quoted string: runs of plain characters between backslash escapes.
+_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_STRING_DECODER = json.JSONDecoder(strict=False)
 
 
-def _lex(text: str):
+def _decode_string(text: str, start: int) -> tuple[str, int]:
+    """Decode the double-quoted string at ``text[start]``, exactly inverting
+    the ``json.dumps`` escapes that both text forms are rendered with; raw
+    control characters are accepted too. Returns the value and the index
+    after the closing quote; raises ValueError for an unterminated string
+    or an invalid escape."""
+    match = _STRING_RE.match(text, start)
+    if match is None:
+        raise ValueError("unterminated string")
+    try:
+        return _STRING_DECODER.decode(match.group()), match.end()
+    except json.JSONDecodeError as exc:
+        raise ValueError(exc.msg) from None
+
+
+def lex(text: str, error=PyDictError) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) tokens: punctuation, decoded strings and names;
+    ``error`` builds the exception for malformed text."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -168,26 +184,17 @@ def _lex(text: str):
         if c.isspace():
             i += 1
             continue
-        if c in "{}:,=":
+        if c in "{}:,=[].()":
             tokens.append((c, c, i))
             i += 1
             continue
         if c == '"':
-            buf = []
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                    if j >= n:
-                        raise PyDictError("unterminated escape sequence")
-                    buf.append({"n": "\n", "t": "\t"}.get(text[j], text[j]))
-                else:
-                    buf.append(text[j])
-                j += 1
-            if j >= n:
-                raise PyDictError(f"unterminated string starting at offset {i}")
-            tokens.append(("str", "".join(buf), i))
-            i = j + 1
+            try:
+                value, j = _decode_string(text, i)
+            except ValueError as exc:
+                raise error(f"{exc} at offset {i}") from None
+            tokens.append(("str", value, i))
+            i = j
             continue
         if c.isalpha() or c == "_":
             j = i
@@ -196,13 +203,17 @@ def _lex(text: str):
             tokens.append(("name", text[i:j], i))
             i = j
             continue
-        raise PyDictError(f"unexpected character {c!r} at offset {i}")
+        raise error(f"unexpected character {c!r} at offset {i}")
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens):
+class Cursor:
+    """Steps through lex tokens; ``error`` builds the exception for a token
+    the grammar does not expect."""
+
+    def __init__(self, tokens, error=PyDictError):
         self.tokens = tokens
+        self.error = error
         self.i = 0
 
     def peek(self):
@@ -211,7 +222,7 @@ class _Cursor:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise PyDictError("unterminated clause-dictionary text")
+            raise self.error("unexpected end of text")
         self.i += 1
         return tok
 
@@ -225,13 +236,13 @@ class _Cursor:
     def expect(self, kind: str):
         tok = self.peek()
         if tok is None:
-            raise PyDictError(f"expected {kind!r}, got end of text")
+            raise self.error(f"expected {kind!r}, got end of text")
         if tok[0] != kind:
-            raise PyDictError(f"expected {kind!r} at offset {tok[2]}, got {tok[1]!r}")
+            raise self.error(f"expected {kind!r} at offset {tok[2]}, got {tok[1]!r}")
         self.i += 1
         return tok
 
     def expect_end(self):
         tok = self.peek()
         if tok is not None:
-            raise PyDictError(f"unexpected trailing content at offset {tok[2]}")
+            raise self.error(f"unexpected trailing content at offset {tok[2]}")

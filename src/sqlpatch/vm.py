@@ -194,15 +194,8 @@ def _consume_inserts(current: ClauseMap, ops: deque, state: _WalkState, bound: i
 
 
 def _parse_op(action, granularity: str) -> _Op:
-    if granularity == "clause-pydict":
-        parse = _pairs_from_fragments
-    else:
-        parse = _pairs_from_sql
-    try:
-        old_pairs = parse(action.old) if action.old else []
-        new_pairs = parse(action.new) if action.new else []
-    except (MapError, PyDictError, TokenizeError) as exc:
-        raise ApplyError(f"malformed action content: {exc}") from None
+    old_pairs = clause_content_pairs(action.old, granularity) if action.old else []
+    new_pairs = clause_content_pairs(action.new, granularity) if action.new else []
     if action.kind == "insert":
         return _Op("insert", pairs=tuple(new_pairs))
     if action.kind == "delete":
@@ -218,15 +211,16 @@ def _parse_op(action, granularity: str) -> _Op:
     return _Op("replace", key=okey, old=oentry, pairs=((nkey, nentry),))
 
 
-def _pairs_from_sql(text: str):
-    pairs = []
-    for key, segment in split_clause_texts(text):
-        pairs.append((key, entry_from_clause_text(key, segment)))
-    return pairs
-
-
-def _pairs_from_fragments(text: str):
-    return parse_entry_fragments(text)
+def clause_content_pairs(text: str, granularity: str) -> list:
+    """The (key, entry) pairs named by one clause-level action's content:
+    clause texts at ``clause-sql``, dictionary entries at ``clause-pydict``."""
+    try:
+        if granularity == "clause-pydict":
+            return parse_entry_fragments(text)
+        return [(key, entry_from_clause_text(key, segment))
+                for key, segment in split_clause_texts(text)]
+    except (MapError, PyDictError, TokenizeError) as exc:
+        raise ApplyError(f"malformed action content: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

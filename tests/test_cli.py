@@ -7,6 +7,8 @@ import pytest
 from mockbeams import build_mock_beams
 from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS
 
+from sqlpatch.dataset import synthesize_train
+
 CLI = [sys.executable, "-m", "sqlpatch.cli"]
 
 
@@ -47,20 +49,21 @@ def test_diff_program_fixture(schema_flag, tmp_path):
     assert proc.stdout.strip() == CASE_TWEETS.program
 
 
-def test_diff_apply_pipe_reproduces_gold(schema_flag, tmp_path):
+@pytest.mark.parametrize("granularity", ["clause-sql", "clause-pydict"])
+def test_diff_apply_pipe_reproduces_gold(schema_flag, tmp_path, granularity):
     for case, db in ((CASE_TWEETS, "social"), (CASE_CARS, "cars"), (CASE_HR, "hr")):
         wrong = tmp_path / "w.sql"
         gold = tmp_path / "g.sql"
         wrong.write_text(case.wrong)
         gold.write_text(case.gold)
         diff = run_cli(["diff", *schema_flag, "--db-id", db,
-                        "--granularity", "clause-sql",
+                        "--granularity", granularity,
                         "--wrong", str(wrong), "--gold", str(gold)])
         assert diff.returncode == 0
         edits = tmp_path / "e.txt"
         edits.write_text(diff.stdout)
         applied = run_cli(["apply", *schema_flag, "--db-id", db,
-                           "--granularity", "clause-sql",
+                           "--granularity", granularity,
                            "--wrong", str(wrong), "--edits", str(edits)])
         assert applied.returncode == 0
         assert applied.stdout.strip() == case.gold
@@ -156,6 +159,18 @@ def test_eval_workers_preserve_order(schema_flag):
     assert seq.returncode == par.returncode == 0
     assert seq.stdout == par.stdout
     assert json.loads(seq.stdout.splitlines()[0])["em"] is True
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_eval_unknown_db_id_names_line(schema_flag, workers):
+    pair = {"pred": "select tweets.id from tweets", "gold": "select tweets.id from tweets"}
+    lines = [json.dumps({"db_id": "social", **pair}), "",
+             json.dumps({"db_id": "nope", **pair})]
+    proc = run_cli(["eval", *schema_flag, "--workers", workers], stdin="\n".join(lines))
+    assert proc.returncode == 1
+    assert proc.stdout == '{"em": true, "ex": null}\n'
+    assert proc.stderr.startswith("error: line 3: ")
+    assert "'nope'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_mcnemar_command():
@@ -262,11 +277,27 @@ def test_synth_workers_preserve_order(schema_flag):
     assert seq.stdout == par.stdout
 
 
-def test_synth_rejects_inconsistent_reps(schema_flag):
+@pytest.mark.parametrize("query_rep,edit_rep,valid", [
+    ("sql", "program", "pydict"), ("pydict", "token", "sql")])
+def test_synth_rejects_inconsistent_reps(schema_flag, query_rep, edit_rep, valid):
     proc = run_cli(["synth", *schema_flag,
-                    "--query-rep", "sql", "--edit-rep", "program"], stdin="")
+                    "--query-rep", query_rep, "--edit-rep", edit_rep], stdin="")
     assert proc.returncode == 2
-    assert "pydict" in proc.stderr
+    assert f"{edit_rep} edits require the {valid} query representation" in proc.stderr
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_synth_unknown_db_id_names_line(schema_flag, schemas, workers):
+    beam = build_mock_beams()[0]
+    lines = [beam.to_json(), "", json.dumps({**json.loads(beam.to_json()), "db_id": "nope"})]
+    proc = run_cli(["synth", *schema_flag, "--workers", workers,
+                    "--query-rep", "pydict", "--edit-rep", "program"],
+                   stdin="\n".join(lines))
+    records = synthesize_train([beam], schemas, reps=[("pydict", "program")])
+    assert proc.returncode == 1
+    assert proc.stdout == "".join(r.to_json() + "\n" for r in records)
+    assert proc.stderr.startswith("error: line 3: ")
+    assert "'nope'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -70,8 +70,11 @@ def test_other_method_calls_rejected():
         parse_program('sql.update("orderBy")')
 
 
-def test_escaped_value_round_trip():
-    program = EditProgram((Assign(("where",), 'where a.b = "X"'),))
+@pytest.mark.parametrize("literal,escaped", [
+    ('"X"', '\\"X\\"'), ('"a\rb"', "a\\rb"), ('"a\x01b"', "a\\u0001b"),
+    ('"a\tb"', "a\\tb")], ids=["quote", "cr", "control", "tab"])
+def test_escaped_value_round_trip(literal, escaped):
+    program = EditProgram((Assign(("where",), f"where a.b = {literal}"),))
     text = render_program(program)
-    assert '\\"X\\"' in text
+    assert escaped in text
     assert parse_program(text) == program

@@ -67,11 +67,14 @@ def test_missing_assignment():
         parse_pydict('{"select": "select a.b"}')
 
 
-def test_escaped_quotes_round_trip():
+@pytest.mark.parametrize("literal,escaped", [
+    ('"Q"', '\\"Q\\"'), ('"a\rb"', "a\\rb"), ('"a\x01b"', "a\\u0001b"),
+    ('"a\tb"', "a\\tb")], ids=["quote", "cr", "control", "tab"])
+def test_escaped_quotes_round_trip(literal, escaped):
     cm = ClauseMap({"select": "select a.b", "from": "from a",
-                    "where": 'where a.b = "Q"'})
+                    "where": f"where a.b = {literal}"})
     text = render_pydict(cm)
-    assert '\\"Q\\"' in text
+    assert escaped in text
     assert parse_pydict(text) == cm
 
 
