@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from functools import partial
 
 from . import dataset as ds
@@ -112,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_schema(p, required=False)
     add_db_dir(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers (ignored when --db-dir is set; "
-                        "database access is serialized)")
+                   help="parallel worker processes; under --db-dir each opens "
+                        "its own database connection")
     add_input(p, "JSONL records {db_id, gold, pred}")
 
     p = cmd("mcnemar", "exact McNemar test over paired outcomes", _cmd_mcnemar)
@@ -129,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program-only", action="store_true",
                    help="y carries the edit program without the resulting query")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers (ignored when --db-dir is set; "
-                        "database access is serialized)")
+                   help="parallel worker processes; under --db-dir each opens "
+                        "its own database connection")
     add_input(p, "JSONL beam outputs {db_id, question, gold_sql, beam}")
 
     p = cmd("split-folds", "assign databases to cross-validation folds", _cmd_split_folds)
@@ -176,7 +176,9 @@ def _read(path) -> str:
 
 
 def _read_lines(path) -> list[str]:
-    return [line for line in _read(path).splitlines() if line.strip()]
+    """The input's lines, blank ones included, split at line feeds only:
+    JSON text may hold U+2028 and the other breaks str.splitlines splits at."""
+    return _read(path).split("\n")
 
 
 def _load_schema(args, parser) -> dict:
@@ -202,8 +204,7 @@ def _map_lines(fn, path, workers: int):
     on a process pool when workers > 1, whose initializer hands fn, with
     the schemas bound in it, to each worker once. A domain error ends the
     run and names its 1-based line."""
-    numbered = [(n, line) for n, line in enumerate(_read(path).splitlines(), 1)
-                if line.strip()]
+    numbered = [(n, line) for n, line in enumerate(_read_lines(path), 1) if line.strip()]
     lines = [line for _, line in numbered]
     with ExitStack() as stack:
         if workers > 1:
@@ -311,26 +312,26 @@ def _cmd_exec_program(args, parser) -> int:
 
 
 def _eval_line(line, schemas, backend):
-    obj = json.loads(line)
-    schema = schemas.get(obj["db_id"])
+    db_id, gold_text, pred_text = ds.json_fields(line, ("db_id", "gold", "pred"))
+    schema = schemas.get(db_id)
     if schema is None:
-        raise SchemaError(f"db_id {obj['db_id']!r} not present in the schema file")
-    pred = parse_sql(obj["pred"], schema)
-    gold = parse_sql(obj["gold"], schema)
+        raise SchemaError(f"db_id {db_id!r} not present in the schema file")
+    pred = parse_sql(pred_text, schema)
+    gold = parse_sql(gold_text, schema)
     ex = None
     if backend is not None:
-        ex = execution_match(render(pred), render(gold), obj["db_id"], backend)
+        ex = execution_match(render(pred), render(gold), db_id, backend)
     return EvalOutcome(exact_set_match(pred, gold), ex)
 
 
 def _cmd_eval(args, parser) -> int:
     schemas = _load_schema(args, parser)
-    backend = SqliteBackend(args.db_dir) if args.db_dir else None
     outcomes = []
-    for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
-                              args.input, 1 if backend else args.workers):
-        print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
-        outcomes.append(outcome)
+    with SqliteBackend(args.db_dir) if args.db_dir else nullcontext() as backend:
+        for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
+                                  args.input, args.workers):
+            print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
+            outcomes.append(outcome)
     n = len(outcomes)
     if n:
         summary = {"count": n, "em_acc": sum(o.em for o in outcomes) / n}
@@ -342,9 +343,8 @@ def _cmd_eval(args, parser) -> int:
 
 def _cmd_mcnemar(args, parser) -> int:
     b = c = 0
-    for line in _read_lines(args.input):
-        obj = json.loads(line)
-        a_ok, b_ok = bool(obj["a"]), bool(obj["b"])
+    for a_ok, b_ok in _map_lines(partial(ds.json_fields, names=("a", "b")), args.input, 1):
+        a_ok, b_ok = bool(a_ok), bool(b_ok)
         b += a_ok and not b_ok
         c += (not a_ok) and b_ok
     result = mcnemar_counts(b, c)
@@ -364,12 +364,13 @@ def _cmd_synth(args, parser) -> int:
     except DatasetError as exc:
         parser.error(str(exc))
     schemas = _load_schema(args, parser)
-    backend = SqliteBackend(args.db_dir) if args.db_dir else None
-    synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
-                    reps=[(args.query_rep, args.edit_rep)], program_only=args.program_only)
-    for records in _map_lines(synth, args.input, 1 if backend else args.workers):
-        for record in records:
-            print(record)
+    with SqliteBackend(args.db_dir) if args.db_dir else nullcontext() as backend:
+        synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
+                        reps=[(args.query_rep, args.edit_rep)],
+                        program_only=args.program_only)
+        for records in _map_lines(synth, args.input, args.workers):
+            for record in records:
+                print(record)
     return 0
 
 

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional
 
 from .clausemap import CLAUSE_INDEX, decompose, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
 from .editscript import EditScript, parse_edits, render_edits
 from .errors import DatasetError, ExecutionError, SqlPatchError
-from .metrics import EvalOutcome, ExecBackend, exact_set_match, execution_match
+from .metrics import (
+    EvalOutcome, ExecBackend, exact_set_match, execution_match, has_top_level_order,
+)
 from .parse import parse_sql
 from .program import EditProgram, Pop, parse_program, render_program
 from .pydict import render_pydict
@@ -166,13 +168,13 @@ class ParserOutput:
 
     @staticmethod
     def from_json(line: str) -> "ParserOutput":
-        obj = json.loads(line)
-        return ParserOutput(
-            db_id=obj["db_id"],
-            question=obj["question"],
-            gold_sql=obj["gold_sql"],
-            beam=tuple((e["sql"], float(e["score"])) for e in obj["beam"]),
-        )
+        db_id, question, gold_sql, beam = json_fields(
+            line, ("db_id", "question", "gold_sql", "beam"))
+        try:
+            beam = tuple((e["sql"], float(e["score"])) for e in beam)
+        except (KeyError, TypeError, ValueError):
+            raise DatasetError('each beam entry needs "sql" and a numeric "score"') from None
+        return ParserOutput(db_id=db_id, question=question, gold_sql=gold_sql, beam=beam)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -198,18 +200,49 @@ class ExampleRecord:
 
     @staticmethod
     def from_json(line: str) -> "ExampleRecord":
-        return ExampleRecord(**json.loads(line))
+        return ExampleRecord(*json_fields(line, _RECORD_FIELDS))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), ensure_ascii=False)
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(ExampleRecord))
+
+
+def json_fields(line: str, names) -> list:
+    """The named fields of the JSON object on one input line; a
+    DatasetError when the line is not a JSON object or lacks one of them."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
+    for name in names:
+        if name not in obj:
+            raise DatasetError(f"missing field {name!r}")
+    return [obj[name] for name in names]
+
+
 def read_parser_outputs(lines: Iterable[str]) -> list[ParserOutput]:
-    return [ParserOutput.from_json(line) for line in lines if line.strip()]
+    return _read_numbered(ParserOutput.from_json, lines)
 
 
 def read_records(lines: Iterable[str]) -> list[ExampleRecord]:
-    return [ExampleRecord.from_json(line) for line in lines if line.strip()]
+    return _read_numbered(ExampleRecord.from_json, lines)
+
+
+def _read_numbered(parse, lines: Iterable[str]) -> list:
+    """parse(line) of every non-blank line; a DatasetError names the
+    1-based line, counting blank ones."""
+    out = []
+    for n, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                out.append(parse(line))
+            except DatasetError as exc:
+                raise DatasetError(f"line {n}: {exc}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +294,10 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
             raise DatasetError(
                 f"gold query does not parse for {output.db_id!r}: {exc}") from None
         gold_sql = render(gold_ast)
+        rows = gold_ordered = None
+        if backend is not None:
+            rows = _RowMemo(backend)  # per question, so the rows kept never pile up
+            gold_ordered = has_top_level_order(gold_sql)
         seen: set[str] = set()
         for rank, (beam_sql, score) in enumerate(output.beam):
             try:
@@ -271,12 +308,13 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
             if wrong_sql in seen:
                 continue
             seen.add(wrong_sql)
-            if backend is not None:
+            if rows is not None:
                 try:
-                    backend.execute(wrong_sql, output.db_id)
+                    rows.execute(wrong_sql, output.db_id)
                 except ExecutionError:
                     continue  # non-executable parses are dropped too
-            outcome = _evaluate(ast, gold_ast, wrong_sql, gold_sql, output.db_id, backend)
+            outcome = _evaluate(ast, gold_ast, wrong_sql, gold_sql, output.db_id, rows,
+                                gold_ordered)
             if not _is_wrong(outcome, policy):
                 continue
             for query_rep, edit_rep in reps:
@@ -287,11 +325,34 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
     return records
 
 
-def _evaluate(ast, gold_ast, wrong_sql, gold_sql, db_id, backend) -> EvalOutcome:
+class _RowMemo:
+    """Runs each distinct query once on the backend and replays its
+    outcome, the rows or the ExecutionError, on every later call.
+    BackendUnavailable is never kept: it is raised again by every call."""
+
+    def __init__(self, backend: ExecBackend):
+        self.backend = backend
+        self.outcomes: dict[tuple[str, str], list[tuple] | ExecutionError] = {}
+
+    def execute(self, sql: str, db_id: str) -> list[tuple]:
+        key = (db_id, sql)
+        if key not in self.outcomes:
+            try:
+                self.outcomes[key] = self.backend.execute(sql, db_id)
+            except ExecutionError as exc:
+                self.outcomes[key] = exc
+        outcome = self.outcomes[key]
+        if isinstance(outcome, ExecutionError):
+            raise outcome.with_traceback(None)
+        return outcome
+
+
+def _evaluate(ast, gold_ast, wrong_sql, gold_sql, db_id, backend,
+              gold_ordered) -> EvalOutcome:
     em = exact_set_match(ast, gold_ast)
     ex = None
     if backend is not None:
-        ex = execution_match(wrong_sql, gold_sql, db_id, backend)
+        ex = execution_match(wrong_sql, gold_sql, db_id, backend, gold_ordered=gold_ordered)
     return EvalOutcome(em, ex)
 
 

@@ -80,7 +80,9 @@ def render_program(program: EditProgram) -> str:
 
 def parse_program(text: str) -> EditProgram:
     stmts: list[EditStmt] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # line feeds only: str.splitlines also splits at characters such as
+    # U+0085 and U+2028, which a rendered value holds unescaped
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             stmts.append(_parse_stmt(line, lineno))
     return EditProgram(tuple(stmts))

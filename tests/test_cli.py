@@ -173,6 +173,49 @@ def test_eval_unknown_db_id_names_line(schema_flag, workers):
     assert "'nope'" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_workers_with_db_dir_print_the_serial_output(schema_flag, db_dir, command):
+    if command == "eval":
+        lines = [json.dumps({"db_id": o.db_id, "gold": o.gold_sql, "pred": sql})
+                 for o in build_mock_beams() for sql, _ in o.beam
+                 if sql != "select from where"]
+    else:
+        lines = [o.to_json() for o in build_mock_beams()]
+    args = [command, *schema_flag, "--db-dir", str(db_dir)]
+    if command == "synth":
+        args += ["--policy", "both"]
+    seq = run_cli(args + ["--workers", "1"], stdin="\n".join(lines))
+    par = run_cli(args + ["--workers", "2"], stdin="\n".join(lines))
+    assert seq.returncode == par.returncode == 0
+    assert seq.stdout and seq.stdout == par.stdout
+    if command == "eval":
+        assert set(seq.stdout.splitlines()) == \
+            {'{"em": true, "ex": true}', '{"em": false, "ex": true}',
+             '{"em": false, "ex": false}'}
+
+
+@pytest.mark.parametrize("bad", ["not json", '{"db_id": "social"}'],
+                         ids=["invalid-json", "missing-field"])
+@pytest.mark.parametrize("command", ["eval", "synth", "simulate", "mcnemar"])
+def test_malformed_line_is_a_domain_error(schema_flag, command, bad):
+    args = [command] + (schema_flag if command != "mcnemar" else [])
+    proc = run_cli(args, stdin="\n" + bad + "\n")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line 2: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_records_may_hold_unicode_line_separators(schema_flag):
+    beam = json.loads(build_mock_beams()[0].to_json())
+    beam["question"] = "which\u2028tweets\x85?"
+    synth = run_cli(["synth", *schema_flag], stdin=json.dumps(beam, ensure_ascii=False))
+    assert synth.returncode == 0 and "\u2028" in synth.stdout
+    stats = run_cli(["stats"], stdin=synth.stdout)
+    assert stats.returncode == 0
+    assert json.loads(stats.stdout)["count"] == 2
+
+
 def test_mcnemar_command():
     lines = [json.dumps({"a": True, "b": False})] * 5 + \
             [json.dumps({"a": False, "b": True})] * 15 + \

@@ -1,14 +1,17 @@
+from collections import Counter
+
 import pytest
 
 from mockbeams import QUESTIONS_PER_DB, build_mock_beams
 
+from sqlpatch import dataset
 from sqlpatch.clausemap import sql_to_clause_map, to_sql
 from sqlpatch.dataset import (
     REP_COMBOS, Y_SEPARATOR, ExampleRecord, ParserOutput, build_dev_set,
     dataset_stats, serialize_example, split_folds, synthesize_train,
 )
 from sqlpatch.editscript import parse_edits
-from sqlpatch.errors import DatasetError
+from sqlpatch.errors import BackendUnavailable, DatasetError, ExecutionError
 from sqlpatch.metrics import SqliteBackend
 from sqlpatch.parse import parse_sql
 from sqlpatch.program import parse_program
@@ -92,13 +95,68 @@ def test_synthesis_counts_without_backend(schemas):
 
 
 def test_synthesis_counts_with_backend(schemas, db_dir):
-    backend = SqliteBackend(db_dir)
-    either = synthesize_train(build_mock_beams(), schemas, backend=backend,
-                              policy="either", reps=[("pydict", "program")])
-    both = synthesize_train(build_mock_beams(), schemas, backend=backend,
-                            policy="both", reps=[("pydict", "program")])
+    with SqliteBackend(db_dir) as backend:
+        either = synthesize_train(build_mock_beams(), schemas, backend=backend,
+                                  policy="either", reps=[("pydict", "program")])
+        both = synthesize_train(build_mock_beams(), schemas, backend=backend,
+                                policy="both", reps=[("pydict", "program")])
     assert len(either) == 3 * QUESTIONS_PER_DB * 2
     assert len(both) == 3 * QUESTIONS_PER_DB * 1
+
+
+class _LoggingBackend:
+    """Passes every query on to a backend and logs it."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = []
+
+    def execute(self, sql, db_id):
+        self.calls.append((db_id, sql))
+        return self.backend.execute(sql, db_id)
+
+
+@pytest.mark.parametrize("policy", ["either", "both"])
+def test_synthesis_runs_each_query_once_per_question(schemas, db_dir, policy, monkeypatch):
+    with SqliteBackend(db_dir) as sqlite:
+        logged = _LoggingBackend(sqlite)
+        records, executed = [], 0
+        for output in build_mock_beams():
+            logged.calls.clear()
+            records += synthesize_train([output], schemas, backend=logged, policy=policy)
+            assert max(Counter(logged.calls).values()) == 1
+            executed += len(logged.calls)
+        # the same records when the check and both sides of EX all run the query
+        monkeypatch.setattr(dataset, "_RowMemo", lambda backend: backend)
+        unmemoized = _LoggingBackend(sqlite)
+        assert synthesize_train(build_mock_beams(), schemas, backend=unmemoized,
+                                policy=policy) == records
+    assert records and len(unmemoized.calls) > executed
+
+
+def test_row_memo_keeps_rejections_but_not_unavailability():
+    class Stub:
+        calls = 0
+
+        def execute(self, sql, db_id):
+            self.calls += 1
+            if db_id == "gone":
+                raise BackendUnavailable("no database")
+            if sql == "bad":
+                raise ExecutionError("no such column")
+            return [(sql,)]
+
+    stub = Stub()
+    memo = dataset._RowMemo(stub)
+    for _ in range(2):
+        assert memo.execute("good", "db") == [("good",)]
+        with pytest.raises(ExecutionError, match="no such column"):
+            memo.execute("bad", "db")
+    assert stub.calls == 2
+    for _ in range(2):
+        with pytest.raises(BackendUnavailable):
+            memo.execute("good", "gone")
+    assert stub.calls == 4
 
 
 def test_correct_parses_never_enter(schemas):

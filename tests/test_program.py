@@ -37,6 +37,8 @@ def test_parse_round_trip():
 def test_blank_lines_skipped():
     program = parse_program('\nsql.pop("groupBy")\n\n')
     assert program.stmts == (Pop((), "groupBy"),)
+    assert parse_program('sql.pop("groupBy")\r\nsql.pop("limit")\r\n') == \
+        EditProgram((Pop((), "groupBy"), Pop((), "limit")))
 
 
 def test_whole_map_assignment_rejected():
@@ -72,7 +74,8 @@ def test_other_method_calls_rejected():
 
 @pytest.mark.parametrize("literal,escaped", [
     ('"X"', '\\"X\\"'), ('"a\rb"', "a\\rb"), ('"a\x01b"', "a\\u0001b"),
-    ('"a\tb"', "a\\tb")], ids=["quote", "cr", "control", "tab"])
+    ('"a\tb"', "a\\tb"), ('"a\x85b"', "a\x85b"), ('"a\u2028b"', "a\u2028b"),
+    ('"a\u2029b"', "a\u2029b")], ids=["quote", "cr", "control", "tab", "nel", "ls", "ps"])
 def test_escaped_value_round_trip(literal, escaped):
     program = EditProgram((Assign(("where",), f"where a.b = {literal}"),))
     text = render_program(program)
