@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from functools import partial
 
 from . import dataset as ds
@@ -112,8 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_schema(p, required=False)
     add_db_dir(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes; under --db-dir each opens "
-                        "its own database connection")
+                   help="parallel worker processes")
     add_input(p, "JSONL records {db_id, gold, pred}")
 
     p = cmd("mcnemar", "exact McNemar test over paired outcomes", _cmd_mcnemar)
@@ -129,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program-only", action="store_true",
                    help="y carries the edit program without the resulting query")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes; under --db-dir each opens "
-                        "its own database connection")
+                   help="parallel worker processes")
     add_input(p, "JSONL beam outputs {db_id, question, gold_sql, beam}")
 
     p = cmd("split-folds", "assign databases to cross-validation folds", _cmd_split_folds)
@@ -326,12 +324,12 @@ def _eval_line(line, schemas, backend):
 
 def _cmd_eval(args, parser) -> int:
     schemas = _load_schema(args, parser)
+    backend = SqliteBackend(args.db_dir) if args.db_dir else None
     outcomes = []
-    with SqliteBackend(args.db_dir) if args.db_dir else nullcontext() as backend:
-        for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
-                                  args.input, args.workers):
-            print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
-            outcomes.append(outcome)
+    for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
+                              args.input, args.workers):
+        print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
+        outcomes.append(outcome)
     n = len(outcomes)
     if n:
         summary = {"count": n, "em_acc": sum(o.em for o in outcomes) / n}
@@ -364,13 +362,12 @@ def _cmd_synth(args, parser) -> int:
     except DatasetError as exc:
         parser.error(str(exc))
     schemas = _load_schema(args, parser)
-    with SqliteBackend(args.db_dir) if args.db_dir else nullcontext() as backend:
-        synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
-                        reps=[(args.query_rep, args.edit_rep)],
-                        program_only=args.program_only)
-        for records in _map_lines(synth, args.input, args.workers):
-            for record in records:
-                print(record)
+    backend = SqliteBackend(args.db_dir) if args.db_dir else None
+    synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
+                    reps=[(args.query_rep, args.edit_rep)], program_only=args.program_only)
+    for records in _map_lines(synth, args.input, args.workers):
+        for record in records:
+            print(record)
     return 0
 
 

@@ -200,7 +200,7 @@ class ExampleRecord:
 
     @staticmethod
     def from_json(line: str) -> "ExampleRecord":
-        return ExampleRecord(*json_fields(line, _RECORD_FIELDS))
+        return ExampleRecord(*json_fields(line, _RECORD_FIELDS, only=True))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), ensure_ascii=False)
@@ -209,9 +209,10 @@ class ExampleRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(ExampleRecord))
 
 
-def json_fields(line: str, names) -> list:
+def json_fields(line: str, names, only: bool = False) -> list:
     """The named fields of the JSON object on one input line; a
-    DatasetError when the line is not a JSON object or lacks one of them."""
+    DatasetError when the line is not a JSON object, lacks one of them or,
+    if only is set, holds any other field."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -221,6 +222,10 @@ def json_fields(line: str, names) -> list:
     for name in names:
         if name not in obj:
             raise DatasetError(f"missing field {name!r}")
+    if only:
+        for name in obj:
+            if name not in names:
+                raise DatasetError(f"unknown field {name!r}")
     return [obj[name] for name in names]
 
 
@@ -326,22 +331,22 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
 
 
 class _RowMemo:
-    """Runs each distinct query once on the backend and replays its
-    outcome, the rows or the ExecutionError, on every later call.
-    BackendUnavailable is never kept: it is raised again by every call."""
+    """Runs each distinct query of one question, all on its database, once
+    on the backend and replays its outcome, the rows or the ExecutionError,
+    on every later call. BackendUnavailable is never kept: it is raised
+    again by every call."""
 
     def __init__(self, backend: ExecBackend):
         self.backend = backend
-        self.outcomes: dict[tuple[str, str], list[tuple] | ExecutionError] = {}
+        self.outcomes: dict[str, list[tuple] | ExecutionError] = {}
 
     def execute(self, sql: str, db_id: str) -> list[tuple]:
-        key = (db_id, sql)
-        if key not in self.outcomes:
+        if sql not in self.outcomes:
             try:
-                self.outcomes[key] = self.backend.execute(sql, db_id)
+                self.outcomes[sql] = self.backend.execute(sql, db_id)
             except ExecutionError as exc:
-                self.outcomes[key] = exc
-        outcome = self.outcomes[key]
+                self.outcomes[sql] = exc
+        outcome = self.outcomes[sql]
         if isinstance(outcome, ExecutionError):
             raise outcome.with_traceback(None)
         return outcome

@@ -123,33 +123,10 @@ class ExecBackend(Protocol):
 
 
 class SqliteBackend:
-    """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite``.
-
-    One read-only connection stays open, to the database of the last
-    query; a query on another database closes it and opens that one. The
-    connection opens on the first query, is released by ``close`` or on
-    leaving a ``with`` block, and is never pickled: a copy sent to a worker
-    process carries only ``db_dir`` and opens its own.
-    """
+    """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite``."""
 
     def __init__(self, db_dir):
         self.db_dir = Path(db_dir)
-        self._conn: Optional[sqlite3.Connection] = None
-        self._conn_db_id: Optional[str] = None
-
-    def __reduce__(self):
-        return (type(self), (self.db_dir,))
-
-    def __enter__(self) -> "SqliteBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        conn, self._conn, self._conn_db_id = self._conn, None, None
-        if conn is not None:
-            conn.close()
 
     def _db_path(self, db_id: str) -> Path:
         base = self.db_dir / db_id
@@ -163,28 +140,19 @@ class SqliteBackend:
                 return found[0]
         raise BackendUnavailable(f"no database file for {db_id!r} under {self.db_dir}")
 
-    def _connection(self, db_id: str) -> sqlite3.Connection:
-        if self._conn is not None and self._conn_db_id == db_id:
-            return self._conn
-        self.close()
+    def execute(self, sql: str, db_id: str) -> list[tuple]:
         path = self._db_path(db_id)
         try:
-            # autocommit, so a rejected write leaves no transaction open on
-            # the reused handle; no statement cache, since callers run each
-            # distinct query once
-            conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
-                                   isolation_level=None, cached_statements=0)
+            conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
         except sqlite3.Error as exc:
             raise BackendUnavailable(f"cannot open {path}: {exc}") from None
-        self._conn, self._conn_db_id = conn, db_id
-        return conn
-
-    def execute(self, sql: str, db_id: str) -> list[tuple]:
-        conn = self._connection(db_id)
         try:
-            return [tuple(row) for row in conn.execute(sql).fetchall()]
+            cursor = conn.execute(sql)
+            return [tuple(row) for row in cursor.fetchall()]
         except sqlite3.Error as exc:
             raise ExecutionError(str(exc)) from None
+        finally:
+            conn.close()
 
 
 def execution_match(pred: str, gold: str, db_id: str, backend: ExecBackend,

@@ -194,16 +194,26 @@ def test_workers_with_db_dir_print_the_serial_output(schema_flag, db_dir, comman
              '{"em": false, "ex": false}'}
 
 
-@pytest.mark.parametrize("bad", ["not json", '{"db_id": "social"}'],
-                         ids=["invalid-json", "missing-field"])
-@pytest.mark.parametrize("command", ["eval", "synth", "simulate", "mcnemar"])
-def test_malformed_line_is_a_domain_error(schema_flag, command, bad):
-    args = [command] + (schema_flag if command != "mcnemar" else [])
-    proc = run_cli(args, stdin="\n" + bad + "\n")
+@pytest.mark.parametrize("command,bad", [
+    *[(command, bad) for command in ["eval", "synth", "simulate", "mcnemar"]
+      for bad in ["invalid-json", "missing-field"]],
+    ("simulate", "unknown-field"), ("stats", "unknown-field")])
+def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
+    if bad == "invalid-json":
+        line = "not json"
+    elif bad == "missing-field":
+        line = '{"db_id": "social"}'
+    else:  # a record with one field more than ExampleRecord has
+        record = json.loads(synthesize_train(build_mock_beams(), schemas)[0].to_json())
+        line = json.dumps({**record, "beam_size": 5})
+    args = [command] + (schema_flag if command in ("eval", "synth", "simulate") else [])
+    proc = run_cli(args, stdin="\n" + line + "\n")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: line 2: ")
     assert "Traceback" not in proc.stderr
+    if bad == "unknown-field":
+        assert "'beam_size'" in proc.stderr
 
 
 def test_records_may_hold_unicode_line_separators(schema_flag):

@@ -95,11 +95,11 @@ def test_synthesis_counts_without_backend(schemas):
 
 
 def test_synthesis_counts_with_backend(schemas, db_dir):
-    with SqliteBackend(db_dir) as backend:
-        either = synthesize_train(build_mock_beams(), schemas, backend=backend,
-                                  policy="either", reps=[("pydict", "program")])
-        both = synthesize_train(build_mock_beams(), schemas, backend=backend,
-                                policy="both", reps=[("pydict", "program")])
+    backend = SqliteBackend(db_dir)
+    either = synthesize_train(build_mock_beams(), schemas, backend=backend,
+                              policy="either", reps=[("pydict", "program")])
+    both = synthesize_train(build_mock_beams(), schemas, backend=backend,
+                            policy="both", reps=[("pydict", "program")])
     assert len(either) == 3 * QUESTIONS_PER_DB * 2
     assert len(both) == 3 * QUESTIONS_PER_DB * 1
 
@@ -118,19 +118,19 @@ class _LoggingBackend:
 
 @pytest.mark.parametrize("policy", ["either", "both"])
 def test_synthesis_runs_each_query_once_per_question(schemas, db_dir, policy, monkeypatch):
-    with SqliteBackend(db_dir) as sqlite:
-        logged = _LoggingBackend(sqlite)
-        records, executed = [], 0
-        for output in build_mock_beams():
-            logged.calls.clear()
-            records += synthesize_train([output], schemas, backend=logged, policy=policy)
-            assert max(Counter(logged.calls).values()) == 1
-            executed += len(logged.calls)
-        # the same records when the check and both sides of EX all run the query
-        monkeypatch.setattr(dataset, "_RowMemo", lambda backend: backend)
-        unmemoized = _LoggingBackend(sqlite)
-        assert synthesize_train(build_mock_beams(), schemas, backend=unmemoized,
-                                policy=policy) == records
+    sqlite = SqliteBackend(db_dir)
+    logged = _LoggingBackend(sqlite)
+    records, executed = [], 0
+    for output in build_mock_beams():
+        logged.calls.clear()
+        records += synthesize_train([output], schemas, backend=logged, policy=policy)
+        assert max(Counter(logged.calls).values()) == 1
+        executed += len(logged.calls)
+    # the same records when the check and both sides of EX all run the query
+    monkeypatch.setattr(dataset, "_RowMemo", lambda backend: backend)
+    unmemoized = _LoggingBackend(sqlite)
+    assert synthesize_train(build_mock_beams(), schemas, backend=unmemoized,
+                            policy=policy) == records
     assert records and len(unmemoized.calls) > executed
 
 
@@ -140,7 +140,7 @@ def test_row_memo_keeps_rejections_but_not_unavailability():
 
         def execute(self, sql, db_id):
             self.calls += 1
-            if db_id == "gone":
+            if sql == "gone":
                 raise BackendUnavailable("no database")
             if sql == "bad":
                 raise ExecutionError("no such column")
@@ -155,7 +155,7 @@ def test_row_memo_keeps_rejections_but_not_unavailability():
     assert stub.calls == 2
     for _ in range(2):
         with pytest.raises(BackendUnavailable):
-            memo.execute("good", "gone")
+            memo.execute("gone", "db")
     assert stub.calls == 4
 
 

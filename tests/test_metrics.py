@@ -1,12 +1,10 @@
 import math
-import pickle
-import sqlite3
 
 import pytest
 
 from paperdata import CASE_TWEETS
 
-from sqlpatch.errors import BackendUnavailable, ExecutionError
+from sqlpatch.errors import BackendUnavailable
 from sqlpatch.metrics import (
     SqliteBackend, exact_set_match, execution_match, mcnemar, mcnemar_counts,
 )
@@ -123,135 +121,66 @@ def test_em_suite(schemas):
 # Execution match
 
 
-@pytest.fixture()
-def backend(db_dir):
-    with SqliteBackend(db_dir) as backend:
-        yield backend
-
-
-def test_ex_identical_queries(backend):
+def test_ex_identical_queries(db_dir):
+    backend = SqliteBackend(db_dir)
     sql = "select employee.name from employee"
     assert execution_match(sql, sql, "hr", backend) is True
 
 
-def test_ex_semantically_equal_but_textually_different(backend):
+def test_ex_semantically_equal_but_textually_different(db_dir):
+    backend = SqliteBackend(db_dir)
     pred = "select employee.name from employee where employee.age > 0"
     gold = "select employee.name from employee"
     assert execution_match(pred, gold, "hr", backend) is True
 
 
-def test_ex_database_error_is_false(backend):
+def test_ex_database_error_is_false(db_dir):
+    backend = SqliteBackend(db_dir)
     assert execution_match("select nope from employee",
                            "select employee.name from employee", "hr", backend) is False
 
 
-def test_ex_row_order_ignored_when_gold_unordered(backend):
+def test_ex_row_order_ignored_when_gold_unordered(db_dir):
+    backend = SqliteBackend(db_dir)
     pred = "select employee.name from employee order by employee.age"
     gold = "select employee.name from employee"
     assert execution_match(pred, gold, "hr", backend) is True
 
 
-def test_ex_order_enforced_when_gold_ordered(backend):
+def test_ex_order_enforced_when_gold_ordered(db_dir):
+    backend = SqliteBackend(db_dir)
     pred = "select employee.name from employee order by employee.age"
     gold = "select employee.name from employee order by employee.name"
     # same rows, different order: the gold query fixes the order
     assert execution_match(pred, gold, "hr", backend) is False
 
 
-def test_ex_order_respected_when_gold_ordered(backend):
+def test_ex_order_respected_when_gold_ordered(db_dir):
+    backend = SqliteBackend(db_dir)
     pred = "select employee.name from employee order by employee.age desc"
     gold = "select employee.name from employee order by employee.name"
     assert execution_match(pred, gold, "hr", backend,
                            gold_ordered=True) is False
 
 
-def test_ex_numeric_comparison(backend):
+def test_ex_numeric_comparison(db_dir):
+    backend = SqliteBackend(db_dir)
     pred = "select cast(quantity as real) from orders"
     gold = "select quantity from orders"
     assert execution_match(pred, gold, "shop", backend) is True
 
 
-def test_ex_missing_database_raises(backend):
+def test_ex_missing_database_raises(db_dir):
+    backend = SqliteBackend(db_dir)
     with pytest.raises(BackendUnavailable):
         backend.execute("select 1", "nonexistent")
 
 
-def test_backend_is_read_only(backend):
+def test_backend_is_read_only(db_dir):
+    backend = SqliteBackend(db_dir)
     with pytest.raises(Exception):
         backend.execute("drop table employee", "hr")
     assert backend.execute("select count(*) from employee", "hr") == [(3,)]
-
-
-def test_rejected_write_leaves_the_connection_usable(backend):
-    backend.execute("select count(*) from employee", "hr")
-    with pytest.raises(ExecutionError):
-        backend.execute("delete from employee", "hr")
-    assert backend.execute("select employee.name from employee order by employee.name",
-                           "hr") == [("Ada",), ("Ben",), ("Cyd",)]
-
-
-@pytest.fixture()
-def connects(monkeypatch):
-    """The database paths sqlite3.connect is called with, in call order."""
-    calls = []
-    real_connect = sqlite3.connect
-
-    def counted(database, *args, **kwargs):
-        calls.append(database)
-        return real_connect(database, *args, **kwargs)
-
-    monkeypatch.setattr(sqlite3, "connect", counted)
-    return calls
-
-
-def test_connection_reused_until_db_id_changes(db_dir, connects):
-    with SqliteBackend(db_dir) as backend:
-        assert connects == []  # opened lazily
-        for _ in range(3):
-            assert backend.execute("select count(*) from employee", "hr") == [(3,)]
-        with pytest.raises(ExecutionError):
-            backend.execute("select nope from employee", "hr")
-        assert len(connects) == 1
-        assert backend.execute("select count(*) from tweets", "social") == [(3,)]
-        assert backend.execute("select count(*) from tweets", "social") == [(3,)]
-        assert backend.execute("select count(*) from employee", "hr") == [(3,)]
-    assert [path.split("/")[-1].split("?")[0] for path in connects] == \
-        ["hr.sqlite", "social.sqlite", "hr.sqlite"]
-
-
-def test_missing_database_keeps_raising(db_dir, connects):
-    with SqliteBackend(db_dir) as backend:
-        backend.execute("select 1", "hr")
-        for _ in range(2):
-            with pytest.raises(BackendUnavailable):
-                backend.execute("select 1", "nonexistent")
-        assert backend.execute("select 1", "hr") == [(1,)]
-    assert len(connects) == 2
-
-
-def test_close_is_idempotent(db_dir, connects):
-    backend = SqliteBackend(db_dir)
-    backend.close()  # never opened
-    backend.execute("select 1", "hr")
-    backend.close()
-    backend.close()
-    assert backend.execute("select 1", "hr") == [(1,)]  # reopens after close
-    backend.close()
-    assert len(connects) == 2
-
-
-def test_pickled_backend_carries_no_connection(db_dir, connects):
-    with SqliteBackend(db_dir) as backend:
-        backend.execute("select 1", "hr")
-        # an open sqlite3.Connection cannot be pickled, so this also shows
-        # that the handle is left behind
-        with pickle.loads(pickle.dumps(backend)) as clone:
-            assert clone.db_dir == backend.db_dir
-            assert len(connects) == 1
-            assert clone.execute("select count(*) from employee", "hr") == [(3,)]
-            assert len(connects) == 2
-        assert backend.execute("select 1", "hr") == [(1,)]
-    assert len(connects) == 2
 
 
 # ---------------------------------------------------------------------------
