@@ -4,6 +4,11 @@ A clause containing nested subqueries becomes a composite entry whose text
 carries ``(subqueryN)`` placeholders and whose subqueries are clause maps
 of their own. A set operation stores the right-hand query as a nested
 clause map under the ``intersect``/``union``/``except`` key.
+
+One builder makes every map: a lexical split of canonical tokens at
+top-level clause keywords, with each ``( select ... )`` span extracted as a
+subquery. A query AST goes through it via its rendered tokens; clause text
+(edit payloads, program values, canonical SQL) via the tokenizer.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ from typing import Iterator, Optional, Union
 
 from .errors import MapError
 from .nodes import Query
-from .render import (
-    bool_tokens, from_tokens, group_by_tokens, order_by_tokens, select_tokens,
-)
+from .render import render_tokens
 from .tokens import detokenize, tokenize
 
 CLAUSE_KEYS = ("select", "from", "where", "groupBy", "having", "orderBy",
@@ -26,6 +29,7 @@ SET_OP_KEYS = ("intersect", "union", "except")
 _KEYWORD_TO_KEY = {"select": "select", "from": "from", "where": "where",
                    "group": "groupBy", "having": "having", "order": "orderBy",
                    "limit": "limit"}
+_MARKERS = frozenset(("(", ")", *SET_OP_KEYS, *_KEYWORD_TO_KEY))
 _PLACEHOLDER_RE = re.compile(r"\bsubquery\d+\b")
 
 
@@ -84,9 +88,12 @@ class ClauseMap:
                 raise MapError(f"value of {key!r} must be a nested clause map")
         elif not isinstance(entry, (str, Composite)):
             raise MapError(f"value of {key!r} must be clause text or a composite entry")
-        self._entries[key] = entry
-        self._entries = {k: self._entries[k]
-                         for k in sorted(self._entries, key=CLAUSE_INDEX.get)}
+        entries = self._entries
+        in_order = (not entries or key in entries
+                    or CLAUSE_INDEX[key] > CLAUSE_INDEX[next(reversed(entries))])
+        entries[key] = entry
+        if not in_order:
+            self._entries = {k: entries[k] for k in sorted(entries, key=CLAUSE_INDEX.get)}
 
     def pop(self, key: str) -> Entry:
         if key not in self._entries:
@@ -127,36 +134,9 @@ class ClauseMap:
 
 def decompose(query: Query) -> ClauseMap:
     """Split a normalized query into its clause map, depth first: subqueries
-    become independent clause maps referenced by placeholders."""
-    cm = ClauseMap()
-    cm.set("select", detokenize(select_tokens(query.select)))
-    cm.set("from", _entry(lambda c: from_tokens(query.from_clause, c)))
-    if query.where is not None:
-        cm.set("where", _entry(lambda c: ["where"] + bool_tokens(query.where, c)))
-    if query.group_by:
-        cm.set("groupBy", detokenize(group_by_tokens(query.group_by)))
-    if query.having is not None:
-        cm.set("having", _entry(lambda c: ["having"] + bool_tokens(query.having, c)))
-    if query.order_by:
-        cm.set("orderBy", detokenize(order_by_tokens(query.order_by)))
-    if query.limit is not None:
-        cm.set("limit", f"limit {query.limit}")
-    if query.set_op is not None:
-        cm.set(query.set_op.kind, decompose(query.set_op.right))
-    return cm
-
-
-def _entry(tokens_fn) -> Entry:
-    subs: list[ClauseMap] = []
-
-    def collect(subquery: Query) -> list[str]:
-        subs.append(decompose(subquery))
-        return [f"subquery{len(subs) - 1}"]
-
-    text = detokenize(tokens_fn(collect))
-    if subs:
-        return Composite(text, {f"subquery{i}": m for i, m in enumerate(subs)})
-    return text
+    become independent clause maps referenced by placeholders. This is the
+    lexical split of the query's canonical tokens."""
+    return _tokens_to_map(render_tokens(query))
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +148,14 @@ def to_sql(cm: ClauseMap) -> str:
     re-inlined as parenthesized subqueries, set operations appended."""
     if "select" not in cm or "from" not in cm:
         raise MapError("clause map must contain both select and from")
-    parts = []
-    for key, entry in cm.items():
-        if key in SET_OP_KEYS:
-            parts.append(key + " " + to_sql(entry))
-        elif isinstance(entry, Composite):
-            parts.append(_inline_placeholders(entry))
-        else:
-            parts.append(entry)
-    return " ".join(parts)
+    return " ".join([entry_sql(key, entry) for key, entry in cm.items()])
 
 
 def entry_sql(key: str, entry: Entry) -> str:
     """SQL text of one entry: composite placeholders inlined; a set-op entry
     becomes the operator keyword followed by the right-hand query."""
-    if isinstance(entry, ClauseMap):
-        return key + " " + to_sql(entry)
-    if isinstance(entry, Composite):
-        return _inline_placeholders(entry)
-    return entry
+    text = entry_value_sql(entry)
+    return f"{key} {text}" if isinstance(entry, ClauseMap) else text
 
 
 def entry_value_sql(entry: Entry) -> str:
@@ -217,7 +186,7 @@ def _inline_placeholders(entry: Composite) -> str:
 def sql_to_clause_map(sql: str) -> ClauseMap:
     """Build a clause map from canonical SQL text without a schema, by
     splitting at top-level clause keywords and extracting ``(select ...)``
-    spans. On render output this reproduces :func:`decompose` exactly."""
+    spans. On render output this is :func:`decompose`."""
     return _tokens_to_map([t.text for t in tokenize(sql)])
 
 
@@ -243,36 +212,31 @@ def split_clause_texts(text: str) -> list[tuple[str, str]]:
 
 
 def _split_segments(tokens: list[str]) -> list[tuple[str, list[str]]]:
+    """(key, tokens) of each top-level clause; a set operation takes the
+    rest of the tokens, its keyword left out."""
+    if tokens and (tokens[0] == "(" or tokens[0] not in _MARKERS):
+        raise MapError(f"clause text must start with a clause keyword, got {tokens[0]!r}")
     segments: list[tuple[str, list[str]]] = []
     key = None
-    cur: list[str] = []
-    depth = 0
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    start = depth = 0
+    for i, tok in enumerate(tokens):
+        if tok not in _MARKERS:
+            continue
         if tok == "(":
             depth += 1
         elif tok == ")":
             depth -= 1
             if depth < 0:
                 raise MapError("unbalanced parenthesis in clause text")
-        if depth == 0 and tok in SET_OP_KEYS:
+        elif depth == 0:
             if key is not None:
-                segments.append((key, cur))
-            segments.append((tok, tokens[i + 1:]))
-            return segments
-        if depth == 0 and tok in _KEYWORD_TO_KEY:
-            if key is not None:
-                segments.append((key, cur))
-            key = _KEYWORD_TO_KEY[tok]
-            cur = [tok]
-        else:
-            if key is None:
-                raise MapError(f"clause text must start with a clause keyword, got {tok!r}")
-            cur.append(tok)
-        i += 1
+                segments.append((key, tokens[start:i]))
+            if tok in SET_OP_KEYS:
+                segments.append((tok, tokens[i + 1:]))
+                return segments
+            key, start = _KEYWORD_TO_KEY[tok], i
     if key is not None:
-        segments.append((key, cur))
+        segments.append((key, tokens[start:]))
     return segments
 
 
@@ -289,18 +253,21 @@ def _tokens_to_map(tokens: list[str]) -> ClauseMap:
 
 
 def _make_entry(tokens: list[str]) -> Entry:
+    """Clause text, or a composite entry when ``( select ... )`` spans occur."""
+    if "select" not in tokens[1:]:
+        return detokenize(tokens)
     out: list[str] = []
     subs: list[list[str]] = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "(" and i + 1 < len(tokens) and tokens[i + 1] == "select":
+    start = i = 0
+    while i < len(tokens) - 1:
+        if tokens[i] == "(" and tokens[i + 1] == "select":
             j = _matching_paren(tokens, i)
+            out += tokens[start:i] + ["(", f"subquery{len(subs)}", ")"]
             subs.append(tokens[i + 1:j])
-            out += ["(", f"subquery{len(subs) - 1}", ")"]
-            i = j + 1
+            start = i = j + 1
         else:
-            out.append(tokens[i])
             i += 1
+    out += tokens[start:]
     if not subs:
         return detokenize(out)
     return Composite(detokenize(out),

@@ -18,7 +18,7 @@ from contextlib import ExitStack
 from functools import partial
 
 from . import dataset as ds
-from .clausemap import decompose, sql_to_clause_map, to_sql
+from .clausemap import decompose, to_sql
 from .editscript import GRANULARITIES, EditAction, EditScript, parse_edits, render_edits
 from .errors import DatasetError, SchemaError, SqlPatchError
 from .interact import OracleGenerator, SubprocessGenerator, simulate
@@ -30,7 +30,7 @@ from .program import parse_program
 from .pydict import parse_pydict, render_pydict
 from .render import render
 from .schema import load_tables_json
-from .vm import apply_clause_edits, apply_token_edits, exec_program
+from .vm import apply_token_edits
 
 
 def main(argv=None) -> int:
@@ -232,12 +232,12 @@ def _worker_call(line):
     return _worker_fn(line)
 
 
-def _map_for_apply(text: str, args, parser):
-    """Clause map of the query being patched: via the parser when a schema
-    is given, lexically when the text is already canonical."""
+def _canonical(text: str, args, parser) -> str:
+    """The query being patched as canonical text: rendered via the parser
+    when a schema is given, else taken as already canonical."""
     if args.schema and args.db_id:
-        return decompose(_query_from_text(text, args, parser))
-    return sql_to_clause_map(text.strip())
+        return render(_query_from_text(text, args, parser))
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +271,21 @@ def _cmd_diff(args, parser) -> int:
 
 
 def _cmd_render_edits(args, parser) -> int:
-    text = _read(args.input)
     if args.parse:
-        script = parse_edits(text.strip(), args.granularity)
+        script = parse_edits(_read(args.input).strip(), args.granularity)
         for action in script.actions:
             print(json.dumps({"kind": action.kind, "old": action.old,
                               "new": action.new}, ensure_ascii=False))
         return 0
-    actions = tuple(
-        EditAction(obj.get("kind"), old=obj.get("old", ""), new=obj.get("new", ""))
-        for obj in map(json.loads, text.splitlines()) if obj)
+    actions = tuple(_map_lines(_edit_action, args.input, 1))
     print(render_edits(EditScript(args.granularity, actions)))
     return 0
+
+
+def _edit_action(line) -> EditAction:
+    kind, old, new = ds.json_fields(line, ("kind", "old", "new"),
+                                    defaults={"old": "", "new": ""})
+    return EditAction(kind, old=old, new=new)
 
 
 def _cmd_apply(args, parser) -> int:
@@ -297,15 +300,15 @@ def _cmd_apply(args, parser) -> int:
         else:
             print(report.result)
         return 0
-    cm = _map_for_apply(wrong_text, args, parser)
-    print(to_sql(apply_clause_edits(cm, script)))
+    rep = ds.REPRESENTATIONS[args.granularity]
+    print(rep.apply(_canonical(wrong_text, args, parser), script.actions))
     return 0
 
 
 def _cmd_exec_program(args, parser) -> int:
-    cm = _map_for_apply(_read(args.wrong).strip(), args, parser)
+    wrong_sql = _canonical(_read(args.wrong).strip(), args, parser)
     program = parse_program(_read(args.program))
-    print(to_sql(exec_program(cm, program)))
+    print(ds.REPRESENTATIONS["program"].apply(wrong_sql, program.stmts))
     return 0
 
 

@@ -49,8 +49,14 @@ class Representation:
 
     granularity = query_rep = edit_rep = ""
 
-    def diff(self, wrong_ast, gold_ast):
-        """The edit script or program that turns the wrong query into the gold one."""
+    def prepare(self, ast):
+        """The form of a query AST that diff and render_query take: the AST
+        itself here, its clause map for the pydict rows."""
+        return ast
+
+    def diff(self, wrong, gold):
+        """The edit script or program that turns the wrong query into the
+        gold one; each is an AST or its prepared form."""
         raise NotImplementedError
 
     def render_edits(self, edits) -> str:
@@ -64,8 +70,9 @@ class Representation:
         script = EditScript(self.granularity, tuple(items))
         return to_sql(apply_clause_edits(sql_to_clause_map(wrong_sql), script))
 
-    def render_query(self, ast) -> str:
-        return render(ast)
+    def render_query(self, query) -> str:
+        """The query as the x and y texts carry it, from its prepared form."""
+        return render(query)
 
     def order(self, action) -> tuple:
         """Sort key of an action selected out of order: the canonical index
@@ -80,8 +87,8 @@ class Representation:
 class _TokenEdits(Representation):
     granularity, query_rep, edit_rep = "token", "sql", "token"
 
-    def diff(self, wrong_ast, gold_ast):
-        return diff_tokens(wrong_ast, gold_ast)
+    def diff(self, wrong, gold):
+        return diff_tokens(wrong, gold)
 
     def apply(self, wrong_sql: str, items) -> str:
         return apply_token_edits(wrong_sql, EditScript("token", tuple(items))).result
@@ -93,29 +100,32 @@ class _TokenEdits(Representation):
 class _ClauseSqlEdits(Representation):
     granularity, query_rep, edit_rep = "clause-sql", "sql", "clause"
 
-    def diff(self, wrong_ast, gold_ast):
-        return diff_clauses_sql(wrong_ast, gold_ast)
+    def diff(self, wrong, gold):
+        return diff_clauses_sql(wrong, gold)
 
 
 class _PydictQuery(Representation):
     query_rep = "pydict"
 
-    def render_query(self, ast) -> str:
-        return render_pydict(decompose(ast))
+    def prepare(self, ast):
+        return decompose(ast)
+
+    def render_query(self, query) -> str:
+        return render_pydict(query)
 
 
 class _ClausePydictEdits(_PydictQuery):
     granularity, edit_rep = "clause-pydict", "clause"
 
-    def diff(self, wrong_ast, gold_ast):
-        return diff_clauses_pydict(decompose(wrong_ast), decompose(gold_ast))
+    def diff(self, wrong, gold):
+        return diff_clauses_pydict(wrong, gold)
 
 
 class _ProgramEdits(_PydictQuery):
     granularity, edit_rep = "program", "program"
 
-    def diff(self, wrong_ast, gold_ast):
-        return diff_program(decompose(wrong_ast), decompose(gold_ast))
+    def diff(self, wrong, gold):
+        return diff_program(wrong, gold)
 
     def render_edits(self, edits) -> str:
         return render_program(edits)
@@ -209,24 +219,26 @@ class ExampleRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(ExampleRecord))
 
 
-def json_fields(line: str, names, only: bool = False) -> list:
-    """The named fields of the JSON object on one input line; a
-    DatasetError when the line is not a JSON object, lacks one of them or,
-    if only is set, holds any other field."""
+def json_fields(line: str, names, only: bool = False, defaults=None) -> list:
+    """The named fields of the JSON object on one input line, a missing one
+    read from defaults when it is there; a DatasetError when the line is
+    not a JSON object, lacks any other of them or, if only is set, holds
+    any other field."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
+    defaults = defaults or {}
     for name in names:
-        if name not in obj:
+        if name not in obj and name not in defaults:
             raise DatasetError(f"missing field {name!r}")
     if only:
         for name in obj:
             if name not in names:
                 raise DatasetError(f"unknown field {name!r}")
-    return [obj[name] for name in names]
+    return [obj[name] if name in obj else defaults[name] for name in names]
 
 
 def read_parser_outputs(lines: Iterable[str]) -> list[ParserOutput]:
@@ -374,12 +386,12 @@ def make_record(output: ParserOutput, rank: int, score: float, schema: SchemaInf
                 program_only: bool = False) -> Optional[ExampleRecord]:
     """Build one ExampleRecord, or None when the pair has no edits."""
     rep = representation(query_rep, edit_rep)
-    edits = rep.diff(wrong_ast, gold_ast)
+    wrong, gold = rep.prepare(wrong_ast), rep.prepare(gold_ast)
+    edits = rep.diff(wrong, gold)
     if not edits:
         return None
-    x, y = serialize_example(output.question, schema.serialize(), wrong_ast, gold_ast,
-                             query_rep, edit_rep, program_only,
-                             edits_text=rep.render_edits(edits))
+    x, y = _example(rep, output.question, schema.serialize(), wrong, gold,
+                    rep.render_edits(edits), program_only)
     return ExampleRecord(
         db_id=output.db_id, question=output.question,
         schema_serial=schema.serialize(),
@@ -395,17 +407,23 @@ def serialize_example(question: str, schema_serial: str, wrong_ast, gold_ast,
     """Build the (x, y) pair: x = utterance | schema | wrong query, and
     y = edits <sep> gold query (or the edits alone in program-only mode)."""
     rep = representation(query_rep, edit_rep)
+    wrong, gold = rep.prepare(wrong_ast), rep.prepare(gold_ast)
     if edits_text is None:
-        edits = rep.diff(wrong_ast, gold_ast)
+        edits = rep.diff(wrong, gold)
         if not edits:
             raise DatasetError("refusing to serialize a pair with no edits")
         edits_text = rep.render_edits(edits)
-    x = X_SEPARATOR.join([question, schema_serial, rep.render_query(wrong_ast)])
+    return _example(rep, question, schema_serial, wrong, gold, edits_text, program_only)
+
+
+def _example(rep: Representation, question: str, schema_serial: str, wrong, gold,
+             edits_text: str, program_only: bool) -> tuple[str, str]:
+    x = X_SEPARATOR.join([question, schema_serial, rep.render_query(wrong)])
     if program_only:
-        if edit_rep != "program":
+        if rep.edit_rep != "program":
             raise DatasetError("program-only serialization requires program edits")
         return x, edits_text
-    return x, edits_text + Y_SEPARATOR + rep.render_query(gold_ast)
+    return x, edits_text + Y_SEPARATOR + rep.render_query(gold)
 
 
 # ---------------------------------------------------------------------------

@@ -3,45 +3,37 @@
 One canonical form: lowercase keywords and identifiers, single spaces,
 ", " after commas, spaces around comparison operators, no space inside
 function parentheses, "table.column" with no spaces, ascending direction
-left implicit, explicit "desc".
-
-The per-clause token builders are shared with clause decomposition, which
-swaps in placeholder tokens for nested subqueries via the ``sub`` callback.
+left implicit, explicit "desc". Subqueries render inline, in parentheses.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Iterable
 
 from .nodes import (
-    BoolExpr, ColUnit, Condition, FromClause, Literal, OrderItem,
+    BoolExpr, ColUnit, Condition, FromClause, Literal,
     Query, Select, SelectItem, ValueList, ValUnit,
 )
 from .tokens import detokenize
 
-SubHandler = Callable[[Query], list[str]]
 
-
-def _inline(query: Query) -> list[str]:
-    return render_tokens(query)
-
-
-def render_tokens(query: Query, sub: Optional[SubHandler] = None) -> list[str]:
-    sub = sub or _inline
+def render_tokens(query: Query) -> list[str]:
     out = select_tokens(query.select)
-    out += from_tokens(query.from_clause, sub)
+    out += from_tokens(query.from_clause)
     if query.where is not None:
-        out += ["where"] + bool_tokens(query.where, sub)
+        out += ["where"] + bool_tokens(query.where)
     if query.group_by:
-        out += group_by_tokens(query.group_by)
+        out += ["group", "by"] + _joined(",", [[col.text()] for col in query.group_by])
     if query.having is not None:
-        out += ["having"] + bool_tokens(query.having, sub)
+        out += ["having"] + bool_tokens(query.having)
     if query.order_by:
-        out += order_by_tokens(query.order_by)
+        out += ["order", "by"] + _joined(",", [
+            val_tokens(item.val) + (["desc"] if item.direction == "desc" else [])
+            for item in query.order_by])
     if query.limit is not None:
         out += ["limit", str(query.limit)]
     if query.set_op is not None:
-        out += [query.set_op.kind] + render_tokens(query.set_op.right, sub)
+        out += [query.set_op.kind] + render_tokens(query.set_op.right)
     return out
 
 
@@ -50,15 +42,18 @@ def render(query: Query) -> str:
     return detokenize(render_tokens(query))
 
 
-def select_tokens(select: Select) -> list[str]:
-    out = ["select"]
-    if select.distinct:
-        out.append("distinct")
-    for i, item in enumerate(select.items):
-        if i:
-            out.append(",")
-        out += item_tokens(item)
+def _joined(sep: str, parts: Iterable[list[str]]) -> list[str]:
+    out: list[str] = []
+    for part in parts:
+        if out:
+            out.append(sep)
+        out += part
     return out
+
+
+def select_tokens(select: Select) -> list[str]:
+    out = ["select", "distinct"] if select.distinct else ["select"]
+    return out + _joined(",", map(item_tokens, select.items))
 
 
 def item_tokens(item: SelectItem) -> list[str]:
@@ -91,9 +86,9 @@ def unit_tokens(unit: ColUnit) -> list[str]:
     return [unit.col.text()]
 
 
-def from_tokens(fc: FromClause, sub: SubHandler) -> list[str]:
+def from_tokens(fc: FromClause) -> list[str]:
     if fc.subquery is not None:
-        out = ["from", "("] + sub(fc.subquery) + [")"]
+        out = ["from", "("] + render_tokens(fc.subquery) + [")"]
         if fc.subquery_alias:
             out += ["as", fc.subquery_alias]
         return out
@@ -105,69 +100,34 @@ def from_tokens(fc: FromClause, sub: SubHandler) -> list[str]:
         if jt.alias:
             out += ["as", jt.alias]
         if jt.conds:
-            out.append("on")
-            for j, cond in enumerate(jt.conds):
-                if j:
-                    out.append("and")
-                out += cond_tokens(cond, sub)
+            out += ["on"] + _joined("and", map(cond_tokens, jt.conds))
     return out
 
 
-def bool_tokens(expr: BoolExpr, sub: SubHandler) -> list[str]:
+def bool_tokens(expr: BoolExpr) -> list[str]:
     if isinstance(expr, Condition):
-        return cond_tokens(expr, sub)
-    joiner = expr.op
-    out: list[str] = []
-    for i, arg in enumerate(expr.args):
-        if i:
-            out.append(joiner)
-        out += bool_tokens(arg, sub)
-    return out
+        return cond_tokens(expr)
+    return _joined(expr.op, map(bool_tokens, expr.args))
 
 
-def cond_tokens(cond: Condition, sub: SubHandler) -> list[str]:
+def cond_tokens(cond: Condition) -> list[str]:
     out = val_tokens(cond.left)
     out += cond.op.split(" ")  # "not in" / "not like" become two tokens
-    out += operand_tokens(cond.right, sub)
+    out += operand_tokens(cond.right)
     if cond.op == "between":
         out.append("and")
-        out += operand_tokens(cond.right2, sub)
+        out += operand_tokens(cond.right2)
     return out
 
 
-def operand_tokens(operand, sub: SubHandler) -> list[str]:
+def operand_tokens(operand) -> list[str]:
     if isinstance(operand, Literal):
         return [operand.text]
     if isinstance(operand, ColUnit):
         return unit_tokens(operand)
     if isinstance(operand, ValueList):
-        out = ["("]
-        for i, lit in enumerate(operand.items):
-            if i:
-                out.append(",")
-            out.append(lit.text)
-        out.append(")")
-        return out
+        return ["("] + _joined(",", [[lit.text] for lit in operand.items]) + [")"]
     if isinstance(operand, Query):
-        return ["("] + sub(operand) + [")"]
+        return ["("] + render_tokens(operand) + [")"]
     raise TypeError(f"cannot render operand {operand!r}")
 
-
-def group_by_tokens(group_by) -> list[str]:
-    out = ["group", "by"]
-    for i, col in enumerate(group_by):
-        if i:
-            out.append(",")
-        out.append(col.text())
-    return out
-
-
-def order_by_tokens(order_by: tuple[OrderItem, ...]) -> list[str]:
-    out = ["order", "by"]
-    for i, item in enumerate(order_by):
-        if i:
-            out.append(",")
-        out += val_tokens(item.val)
-        if item.direction == "desc":
-            out.append("desc")
-    return out

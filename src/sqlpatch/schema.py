@@ -78,8 +78,11 @@ def _qualify(flat_cols, tables, idx):
 
 def load_tables_json(path) -> dict[str, SchemaInfo]:
     """Load a Spider-layout tables.json file into a db_id -> SchemaInfo map."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot load schema file {path}: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("tables.json must contain a JSON array of schema objects")
     store = {}

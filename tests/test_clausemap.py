@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from paperdata import CASE_CARS, CASE_TWEETS, CASES
+from queryfuzz import QueryFuzzer
 
 from sqlpatch.clausemap import (
     ClauseMap, Composite, decompose, entry_from_clause_text, entry_sql,
@@ -8,6 +11,7 @@ from sqlpatch.clausemap import (
 )
 from sqlpatch.errors import MapError
 from sqlpatch.parse import parse_sql
+from sqlpatch.pydict import render_pydict
 
 
 def test_decompose_simple(schemas):
@@ -61,6 +65,16 @@ def test_lexical_map_matches_decompose(schemas):
         for sql in (case.wrong, case.gold):
             ast_map = decompose(parse_sql(sql, schemas[case.db_id]))
             assert sql_to_clause_map(sql) == ast_map
+
+
+def test_decompose_matches_pinned_digest(schemas):
+    # The maps of 500 fuzzed queries (159 with subqueries), pinned as a
+    # sha256 prefix of their pydict texts when decompose walked the AST.
+    fuzzer = QueryFuzzer(schemas, seed=2024)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        digest.update(render_pydict(decompose(fuzzer.query()[1])).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "e684101f44d81fac"
 
 
 def test_canonical_key_order_enforced():

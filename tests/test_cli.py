@@ -195,7 +195,7 @@ def test_workers_with_db_dir_print_the_serial_output(schema_flag, db_dir, comman
 
 
 @pytest.mark.parametrize("command,bad", [
-    *[(command, bad) for command in ["eval", "synth", "simulate", "mcnemar"]
+    *[(command, bad) for command in ["eval", "synth", "simulate", "mcnemar", "render-edits"]
       for bad in ["invalid-json", "missing-field"]],
     ("simulate", "unknown-field"), ("stats", "unknown-field")])
 def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
@@ -207,6 +207,8 @@ def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
         record = json.loads(synthesize_train(build_mock_beams(), schemas)[0].to_json())
         line = json.dumps({**record, "beam_size": 5})
     args = [command] + (schema_flag if command in ("eval", "synth", "simulate") else [])
+    if command == "render-edits":
+        args += ["--granularity", "token"]
     proc = run_cli(args, stdin="\n" + line + "\n")
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -214,6 +216,24 @@ def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
     assert "Traceback" not in proc.stderr
     if bad == "unknown-field":
         assert "'beam_size'" in proc.stderr
+
+
+def test_schema_file_that_is_not_json_is_a_domain_error(tmp_path):
+    bad = tmp_path / "tables.json"
+    bad.write_text("")
+    proc = run_cli(["eval", "--schema", str(bad)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_render_edits_skips_blank_lines():
+    action = json.dumps({"kind": "replace", "old": "order by tweets.text",
+                         "new": "order by tweets.createdate"})
+    proc = run_cli(["render-edits", "--granularity", "clause-sql"],
+                   stdin="\n" + action + "\n\n")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == CASE_TWEETS.clause_sql
 
 
 def test_records_may_hold_unicode_line_separators(schema_flag):

@@ -4,7 +4,7 @@ import pytest
 
 from mockbeams import QUESTIONS_PER_DB, build_mock_beams
 
-from sqlpatch import dataset
+from sqlpatch import dataset, diffs
 from sqlpatch.clausemap import sql_to_clause_map, to_sql
 from sqlpatch.dataset import (
     REP_COMBOS, Y_SEPARATOR, ExampleRecord, ParserOutput, build_dev_set,
@@ -243,6 +243,17 @@ def test_no_edit_pair_rejected(schemas):
     wrong = parse_sql("select tweets.id from tweets", schemas["social"])
     with pytest.raises(DatasetError, match="no edits"):
         serialize_example("q", "social", wrong, wrong, "pydict", "program")
+
+
+@pytest.mark.parametrize("edit_rep", ["clause", "program"])
+def test_pydict_record_decomposes_each_query_once(schemas, monkeypatch, edit_rep):
+    calls = []
+    for module in (dataset, diffs):
+        real = module.decompose
+        monkeypatch.setattr(module, "decompose",
+                            lambda query, real=real: calls.append(query) or real(query))
+    records = synthesize_train(build_mock_beams(), schemas, reps=[("pydict", edit_rep)])
+    assert records and len(calls) == 2 * len(records)
 
 
 def test_token_rep_y_prefix(schemas):
