@@ -200,20 +200,24 @@ def _query_from_text(text: str, args, parser):
 def _map_lines(fn, path, workers: int):
     """Yield fn(line) for every non-blank JSONL input line, in input order;
     on a process pool when workers > 1, whose initializer hands fn, with
-    the schemas bound in it, to each worker once. A domain error ends the
-    run and names its 1-based line."""
+    the schemas bound in it, to each worker once, and which takes the lines
+    in about four chunks per worker. A domain error ends the run and names
+    its 1-based line."""
     numbered = [(n, line) for n, line in enumerate(_read_lines(path), 1) if line.strip()]
     lines = [line for _, line in numbered]
     with ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(fn,)))
-            mapped = pool.map(_worker_call, lines)
+            mapped = pool.map(_worker_call, lines,
+                              chunksize=max(1, len(lines) // (workers * 4)))
         else:
             mapped = map(fn, lines)
         done = 0
         try:
             for result in mapped:
+                if isinstance(result, Exception):
+                    raise result
                 yield result
                 done += 1
         except SqlPatchError as exc:
@@ -229,7 +233,13 @@ def _init_worker(fn) -> None:
 
 
 def _worker_call(line):
-    return _worker_fn(line)
+    """fn(line) in a pool worker; an error comes back as the result, for
+    _map_lines to raise in line order, since raising it here would drop the
+    earlier results of its chunk."""
+    try:
+        return _worker_fn(line)
+    except Exception as exc:
+        return exc
 
 
 def _canonical(text: str, args, parser) -> str:

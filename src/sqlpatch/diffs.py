@@ -2,9 +2,11 @@
 
 Token level: minimal LCS diff over the canonical token sequences with
 contiguous runs merged and adjacent delete/insert runs fused into one
-replace. Clause level (SQL and dictionary forms) and programs all share
-one canonical walk over the two clause maps; the frontends only differ in
-how they render the touched entries.
+replace. The LCS table is read from bit-parallel rows, which give its
+exact values, so the script is that of the plain O(n*m) table. Clause
+level (SQL and dictionary forms) and programs all share one canonical
+walk over the two clause maps; the frontends only differ in how they
+render the touched entries.
 """
 
 from __future__ import annotations
@@ -71,16 +73,26 @@ def diff_tokens(wrong, gold) -> EditScript:
 
 def _lcs_ops(a: list[str], b: list[str]):
     """LCS alignment walked front to back, matching the earliest equal tokens
-    and preferring deletions on ties, so runs come out in source order."""
+    and preferring deletions on ties, so runs come out in source order.
+
+    The walk reads table[i][j] = LCS(a[i:], b[j:]) from bit-parallel rows
+    (Allison & Dix 1986; Hyyro 2004) over the reversed sequences: bit l of
+    rows[k] is clear where LCS(a[n-k:], b[m-l-1:]) exceeds LCS(a[n-k:],
+    b[m-l:]), so table[i][j] = (m - j) - popcount(rows[n - i] & ((1 << (m -
+    j)) - 1)). These are the exact values of the O(n*m) table, so the
+    script is the same; the rows take O(n * m / w) word operations.
+    """
     n, m = len(a), len(b)
-    table = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row, nxt = table[i], table[i + 1]
-        for j in range(m - 1, -1, -1):
-            if a[i] == b[j]:
-                row[j] = nxt[j + 1] + 1
-            else:
-                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
+    masks: dict[str, int] = {}
+    for bit, token in enumerate(reversed(b)):
+        masks[token] = masks.get(token, 0) | (1 << bit)
+    full = (1 << m) - 1
+    v = full
+    rows = [v]
+    for token in reversed(a):
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
     ops = []
     i = j = 0
     while i < n and j < m:
@@ -88,7 +100,13 @@ def _lcs_ops(a: list[str], b: list[str]):
             ops.append(("keep", a[i]))
             i += 1
             j += 1
-        elif table[i + 1][j] >= table[i][j + 1]:
+            continue
+        # table[i + 1][j] >= table[i][j + 1], each read as its length minus
+        # a popcount; the lengths m - j and m - j - 1 differ by one
+        low = (1 << (m - j - 1)) - 1
+        below = (rows[n - i - 1] & (low << 1 | 1)).bit_count()
+        right = (rows[n - i] & low).bit_count()
+        if below <= right + 1:
             ops.append(("del", a[i]))
             i += 1
         else:

@@ -37,6 +37,11 @@ class EditAction:
     new: str = ""
 
     def __post_init__(self):
+        for name in ("old", "new"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise EditParseError(
+                    f"the {name} span must be a string, not {type(value).__name__}")
         if self.kind == "replace" and (not self.old or not self.new):
             raise EditParseError("replace requires non-empty old and new spans")
         if self.kind == "insert" and (self.old or not self.new):

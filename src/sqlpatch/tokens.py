@@ -27,8 +27,17 @@ COMPARE_OPS = ("=", "!=", "<=", ">=", "<", ">")
 ARITH_OPS = ("+", "-", "*", "/")
 
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
-_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz"
-                        "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
+# One alternative per token class; "bad" catches any other character, so
+# consecutive matches cover the whole input.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<literal>'[^']*'|"[^"]*")
+  | (?P<word>[A-Za-z0-9_.]+(?:(?<=\.)\*)?)
+  | (?P<operator><=|>=|!=|<>|[=<>+\-/])
+  | (?P<star>\*)
+  | (?P<punctuation>[(),;])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -37,68 +46,53 @@ class Token:
     kind: str  # keyword | identifier | number-literal | string-literal | operator | punctuation | star
 
 
+# The tokens whose text fixes their kind, built once and shared by every
+# tokenize call; "<>" maps to the "!=" token.
+_SHARED = {
+    **{text: Token(text, "keyword") for text in KEYWORDS},
+    **{text: Token(text, "operator") for text in COMPARE_OPS + ("+", "-", "/")},
+    "<>": Token("!=", "operator"),
+    "*": Token("*", "star"),
+    **{text: Token(text, "punctuation") for text in "(),;"},
+}
+
+
 def _classify_word(text: str) -> Token:
-    if text in KEYWORDS:
-        return Token(text, "keyword")
+    """The token of a lowercased word that is not a keyword."""
     if _NUMBER_RE.match(text):
         return Token(text, "number-literal")
-    if text == "*" or text.endswith(".*"):
+    if text.endswith(".*"):
         return Token(text, "star")
     return Token(text, "identifier")
 
 
 def tokenize(sql: str) -> list[Token]:
-    """Split SQL text into tokens, lowercasing everything but string literals."""
+    """Split SQL text into tokens, lowercasing everything but string literals.
+
+    Keywords, operators, punctuation and "*" come out as shared Token
+    instances (equal to freshly built ones); only identifiers, numbers,
+    qualified stars and string literals are built per call.
+    """
     if sql is None or not sql.strip():
         raise TokenizeError("empty input")
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        c = sql[i]
-        if c.isspace():
-            i += 1
+    for match in _TOKEN_RE.finditer(sql):
+        group = match.lastgroup
+        if group == "space":
             continue
-        if c in "'\"":
-            end = sql.find(c, i + 1)
-            if end < 0:
+        text = match.group()
+        if group == "word":
+            word = text.lower()
+            tokens.append(_SHARED.get(word) or _classify_word(word))
+        elif group == "literal":
+            tokens.append(Token(text, "string-literal"))
+        elif group == "bad":
+            i = match.start()
+            if text in "'\"":
                 raise TokenizeError(f"unterminated string literal starting at offset {i}")
-            tokens.append(Token(sql[i:end + 1], "string-literal"))
-            i = end + 1
-            continue
-        if c in _WORD_CHARS:
-            j = i
-            while j < n and sql[j] in _WORD_CHARS:
-                j += 1
-            word = sql[i:j]
-            # qualified star: "t.*"
-            if word.endswith(".") and j < n and sql[j] == "*":
-                word += "*"
-                j += 1
-            tokens.append(_classify_word(word.lower()))
-            i = j
-            continue
-        if c == "*":
-            tokens.append(Token("*", "star"))
-            i += 1
-            continue
-        two = sql[i:i + 2]
-        if two in ("<=", ">=", "!=", "<>"):
-            tokens.append(Token("!=" if two == "<>" else two, "operator"))
-            i += 2
-            continue
-        if c in "=<>":
-            tokens.append(Token(c, "operator"))
-            i += 1
-            continue
-        if c in "+-/":
-            tokens.append(Token(c, "operator"))
-            i += 1
-            continue
-        if c in "(),;":
-            tokens.append(Token(c, "punctuation"))
-            i += 1
-            continue
-        raise TokenizeError(f"illegal character {c!r} at offset {i}")
+            raise TokenizeError(f"illegal character {text!r} at offset {i}")
+        else:
+            tokens.append(_SHARED[text])
     return tokens
 
 

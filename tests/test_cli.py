@@ -194,15 +194,21 @@ def test_workers_with_db_dir_print_the_serial_output(schema_flag, db_dir, comman
              '{"em": false, "ex": false}'}
 
 
+_WRONG_TYPES = {"wrong-type-list": ["a"], "wrong-type-number": 5, "wrong-type-null": None}
+
+
 @pytest.mark.parametrize("command,bad", [
     *[(command, bad) for command in ["eval", "synth", "simulate", "mcnemar", "render-edits"]
       for bad in ["invalid-json", "missing-field"]],
-    ("simulate", "unknown-field"), ("stats", "unknown-field")])
+    ("simulate", "unknown-field"), ("stats", "unknown-field"),
+    *[("render-edits", bad) for bad in _WRONG_TYPES]])
 def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
     if bad == "invalid-json":
         line = "not json"
     elif bad == "missing-field":
         line = '{"db_id": "social"}'
+    elif bad in _WRONG_TYPES:
+        line = json.dumps({"kind": "insert", "new": _WRONG_TYPES[bad]})
     else:  # a record with one field more than ExampleRecord has
         record = json.loads(synthesize_train(build_mock_beams(), schemas)[0].to_json())
         line = json.dumps({**record, "beam_size": 5})
@@ -216,6 +222,43 @@ def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
     assert "Traceback" not in proc.stderr
     if bad == "unknown-field":
         assert "'beam_size'" in proc.stderr
+
+
+@pytest.mark.parametrize("bad_line", [37, 60])
+@pytest.mark.parametrize("command", ["synth", "eval"])
+def test_workers_stop_at_a_malformed_line_in_a_chunk(schema_flag, command, bad_line):
+    # With two workers, 60 lines go out in chunks of 7: line 37 is the
+    # second of its chunk, line 60 the last of the last one.
+    if command == "synth":
+        inputs = [o.to_json() for o in build_mock_beams()]
+        args = ["synth", *schema_flag, "--query-rep", "sql", "--edit-rep", "token"]
+    else:
+        inputs = [json.dumps({"db_id": "social",
+                              "pred": f"select tweets.id from tweets limit {i + 1}",
+                              "gold": "select tweets.id from tweets limit 1"})
+                  for i in range(3)]
+        args = ["eval", *schema_flag]
+    lines = [inputs[i % len(inputs)] for i in range(60)]
+    lines[bad_line - 1] = "not json"
+    seq = run_cli(args + ["--workers", "1"], stdin="\n".join(lines))
+    par = run_cli(args + ["--workers", "2"], stdin="\n".join(lines))
+    assert seq.returncode == par.returncode == 1
+    assert seq.stdout and seq.stdout == par.stdout
+    assert seq.stderr == par.stderr
+    assert par.stderr.startswith(f"error: line {bad_line}: ")
+
+
+def test_workers_print_the_serial_output_before_any_failing_line(schema_flag):
+    # Line 14, second of its chunk of 2, holds a non-string prediction;
+    # whatever it raises, the 13 lines before it come out as in a serial run.
+    line = {"db_id": "social", "pred": "select tweets.id from tweets",
+            "gold": "select tweets.id from tweets"}
+    lines = [json.dumps(line)] * 20
+    lines[13] = json.dumps({**line, "pred": 5})
+    seq = run_cli(["eval", *schema_flag, "--workers", "1"], stdin="\n".join(lines))
+    par = run_cli(["eval", *schema_flag, "--workers", "2"], stdin="\n".join(lines))
+    assert seq.returncode == par.returncode != 0
+    assert seq.stdout == par.stdout == '{"em": true, "ex": null}\n' * 13
 
 
 def test_schema_file_that_is_not_json_is_a_domain_error(tmp_path):

@@ -1,13 +1,17 @@
+import random
+
 from paperdata import CASES
+from queryfuzz import QueryFuzzer
 
 from sqlpatch.clausemap import decompose
 from sqlpatch.diffs import (
-    clause_diff_items, diff_clauses_pydict, diff_clauses_sql, diff_program,
+    _lcs_ops, clause_diff_items, diff_clauses_pydict, diff_clauses_sql, diff_program,
     diff_tokens,
 )
 from sqlpatch.editscript import render_edits
 from sqlpatch.parse import parse_sql
 from sqlpatch.program import Assign, Pop, render_program
+from sqlpatch.render import render_tokens
 
 
 def asts(case, schemas):
@@ -135,3 +139,55 @@ def test_set_op_inner_recursion(schemas):
     assert program.stmts == (Assign(("union", "where"), "where employee.age > 50"),)
     script = diff_clauses_sql(wrong, gold)
     assert script.actions[0].old == "where employee.age > 40"
+
+
+def _lcs_ops_table(a, b):
+    """The O(n*m) LCS table walk that _lcs_ops reads bit-parallel rows for."""
+    n, m = len(a), len(b)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row, nxt = table[i], table[i + 1]
+        for j in range(m - 1, -1, -1):
+            if a[i] == b[j]:
+                row[j] = nxt[j + 1] + 1
+            else:
+                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
+    ops = []
+    i = j = 0
+    while i < n and j < m:
+        if a[i] == b[j]:
+            ops.append(("keep", a[i]))
+            i += 1
+            j += 1
+        elif table[i + 1][j] >= table[i][j + 1]:
+            ops.append(("del", a[i]))
+            i += 1
+        else:
+            ops.append(("ins", b[j]))
+            j += 1
+    ops.extend(("del", tok) for tok in a[i:])
+    ops.extend(("ins", tok) for tok in b[j:])
+    return ops
+
+
+def test_lcs_ops_matches_the_table_on_random_sequences():
+    # A 3-symbol alphabet makes many ties. One side in ten is up to 130
+    # long, so masks span several 30-bit int digits; about one in thirty
+    # is empty.
+    rng = random.Random(8)
+
+    def length():
+        return rng.randrange(131) if rng.random() < 0.1 else rng.randrange(31)
+
+    for _ in range(20_000):
+        a = rng.choices("xyz", k=length())
+        b = rng.choices("xyz", k=length())
+        assert _lcs_ops(a, b) == _lcs_ops_table(a, b), (a, b)
+
+
+def test_lcs_ops_matches_the_table_on_fuzzed_query_pairs(schemas):
+    fuzzer = QueryFuzzer(schemas, seed=8)
+    for _ in range(1_000):
+        _, wrong, gold = fuzzer.pair()
+        a, b = render_tokens(wrong), render_tokens(gold)
+        assert _lcs_ops(a, b) == _lcs_ops_table(a, b), (a, b)

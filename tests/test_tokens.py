@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from sqlpatch.errors import TokenizeError
@@ -77,3 +80,38 @@ def test_tokenize_detokenize_fixpoint():
     sql = "select count(*) from cars_data where cars_data.accelerate > " \
           "(select max(cars_data.horsepower) from cars_data)"
     assert detokenize(texts(sql)) == sql
+
+
+def test_shared_tokens_equal_fresh_ones():
+    tokens = tokenize("SELECT * FROM t WHERE a <> 1 AND (b + c) <= 2;")
+    assert tokens == [
+        Token("select", "keyword"), Token("*", "star"), Token("from", "keyword"),
+        Token("t", "identifier"), Token("where", "keyword"), Token("a", "identifier"),
+        Token("!=", "operator"), Token("1", "number-literal"), Token("and", "keyword"),
+        Token("(", "punctuation"), Token("b", "identifier"), Token("+", "operator"),
+        Token("c", "identifier"), Token(")", "punctuation"), Token("<=", "operator"),
+        Token("2", "number-literal"), Token(";", "punctuation")]
+    assert tokenize("select")[0] is tokenize("SeLeCt")[0]
+
+
+_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
+_PIECES = (list("'\".*<>!=(),;+-/_")
+           + list("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
+           + _SPACES + list("@é٣#") + ["select", "FROM", "Count", "t1.", "3.5", "<>"])
+
+
+def test_tokenize_matches_pinned_digest():
+    # The token lists, or error messages, of 20,000 seeded random strings,
+    # pinned as a sha256 prefix when tokenize scanned one character at a
+    # time. The pieces hold every whitespace character below U+3001.
+    assert len(_SPACES) == 29
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        text = "".join(rng.choices(_PIECES, k=rng.randrange(30)))
+        try:
+            out = [(t.text, t.kind) for t in tokenize(text)]
+        except TokenizeError as exc:
+            out = str(exc)
+        digest.update(repr((text, out)).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "a145b30a2ec8ab15"
