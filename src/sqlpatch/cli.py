@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from functools import partial
 
 from . import dataset as ds
@@ -24,6 +24,7 @@ from .errors import DatasetError, SchemaError, SqlPatchError
 from .interact import OracleGenerator, SubprocessGenerator, simulate
 from .metrics import (
     EvalOutcome, SqliteBackend, exact_set_match, execution_match, mcnemar_counts,
+    orders_result,
 )
 from .parse import parse_sql
 from .program import parse_program
@@ -322,8 +323,18 @@ def _cmd_exec_program(args, parser) -> int:
     return 0
 
 
+def _open_backend(args):
+    """A context manager giving the SQLite backend of --db-dir, closed on
+    exit, or None without one."""
+    return SqliteBackend(args.db_dir) if args.db_dir else nullcontext()
+
+
+_EVAL_FIELDS = ("db_id", "gold", "pred")
+
+
 def _eval_line(line, schemas, backend):
-    db_id, gold_text, pred_text = ds.json_fields(line, ("db_id", "gold", "pred"))
+    db_id, gold_text, pred_text = ds.json_fields(
+        line, _EVAL_FIELDS, kinds=dict.fromkeys(_EVAL_FIELDS, str))
     schema = schemas.get(db_id)
     if schema is None:
         raise SchemaError(f"db_id {db_id!r} not present in the schema file")
@@ -331,18 +342,19 @@ def _eval_line(line, schemas, backend):
     gold = parse_sql(gold_text, schema)
     ex = None
     if backend is not None:
-        ex = execution_match(render(pred), render(gold), db_id, backend)
+        ex = execution_match(render(pred), render(gold), db_id, backend,
+                             gold_ordered=orders_result(gold))
     return EvalOutcome(exact_set_match(pred, gold), ex)
 
 
 def _cmd_eval(args, parser) -> int:
     schemas = _load_schema(args, parser)
-    backend = SqliteBackend(args.db_dir) if args.db_dir else None
     outcomes = []
-    for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
-                              args.input, args.workers):
-        print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
-        outcomes.append(outcome)
+    with _open_backend(args) as backend:
+        for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
+                                  args.input, args.workers):
+            print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
+            outcomes.append(outcome)
     n = len(outcomes)
     if n:
         summary = {"count": n, "em_acc": sum(o.em for o in outcomes) / n}
@@ -354,8 +366,8 @@ def _cmd_eval(args, parser) -> int:
 
 def _cmd_mcnemar(args, parser) -> int:
     b = c = 0
-    for a_ok, b_ok in _map_lines(partial(ds.json_fields, names=("a", "b")), args.input, 1):
-        a_ok, b_ok = bool(a_ok), bool(b_ok)
+    for a_ok, b_ok in _map_lines(partial(ds.json_fields, names=("a", "b"),
+                                         kinds={"a": bool, "b": bool}), args.input, 1):
         b += a_ok and not b_ok
         c += (not a_ok) and b_ok
     result = mcnemar_counts(b, c)
@@ -375,12 +387,13 @@ def _cmd_synth(args, parser) -> int:
     except DatasetError as exc:
         parser.error(str(exc))
     schemas = _load_schema(args, parser)
-    backend = SqliteBackend(args.db_dir) if args.db_dir else None
-    synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
-                    reps=[(args.query_rep, args.edit_rep)], program_only=args.program_only)
-    for records in _map_lines(synth, args.input, args.workers):
-        for record in records:
-            print(record)
+    with _open_backend(args) as backend:
+        synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
+                        reps=[(args.query_rep, args.edit_rep)],
+                        program_only=args.program_only)
+        for records in _map_lines(synth, args.input, args.workers):
+            for record in records:
+                print(record)
     return 0
 
 

@@ -18,7 +18,7 @@ from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tok
 from .editscript import EditScript, parse_edits, render_edits
 from .errors import DatasetError, ExecutionError, SqlPatchError
 from .metrics import (
-    EvalOutcome, ExecBackend, exact_set_match, execution_match, has_top_level_order,
+    EvalOutcome, ExecBackend, exact_set_match, execution_match, orders_result,
 )
 from .parse import parse_sql
 from .program import EditProgram, Pop, parse_program, render_program
@@ -179,11 +179,15 @@ class ParserOutput:
     @staticmethod
     def from_json(line: str) -> "ParserOutput":
         db_id, question, gold_sql, beam = json_fields(
-            line, ("db_id", "question", "gold_sql", "beam"))
+            line, ("db_id", "question", "gold_sql", "beam"),
+            kinds=dict.fromkeys(("db_id", "question", "gold_sql"), str))
         try:
             beam = tuple((e["sql"], float(e["score"])) for e in beam)
+            if not all(isinstance(sql, str) for sql, _ in beam):
+                raise TypeError
         except (KeyError, TypeError, ValueError):
-            raise DatasetError('each beam entry needs "sql" and a numeric "score"') from None
+            raise DatasetError(
+                'each beam entry needs a string "sql" and a numeric "score"') from None
         return ParserOutput(db_id=db_id, question=question, gold_sql=gold_sql, beam=beam)
 
     def to_json(self) -> str:
@@ -219,10 +223,11 @@ class ExampleRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(ExampleRecord))
 
 
-def json_fields(line: str, names, only: bool = False, defaults=None) -> list:
+def json_fields(line: str, names, only: bool = False, defaults=None, kinds=None) -> list:
     """The named fields of the JSON object on one input line, a missing one
     read from defaults when it is there; a DatasetError when the line is
-    not a JSON object, lacks any other of them or, if only is set, holds
+    not a JSON object, lacks any other of them, holds a field named in
+    kinds that is not of its type (str or bool) or, if only is set, holds
     any other field."""
     try:
         obj = json.loads(line)
@@ -238,7 +243,14 @@ def json_fields(line: str, names, only: bool = False, defaults=None) -> list:
         for name in obj:
             if name not in names:
                 raise DatasetError(f"unknown field {name!r}")
+    for name, kind in (kinds or {}).items():
+        if not isinstance(obj[name], kind):
+            raise DatasetError(f"field {name!r} must be {_KIND_NAMES[kind]}, "
+                               f"got {type(obj[name]).__name__}")
     return [obj[name] if name in obj else defaults[name] for name in names]
+
+
+_KIND_NAMES = {str: "a string", bool: "a boolean"}
 
 
 def read_parser_outputs(lines: Iterable[str]) -> list[ParserOutput]:
@@ -314,7 +326,7 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
         rows = gold_ordered = None
         if backend is not None:
             rows = _RowMemo(backend)  # per question, so the rows kept never pile up
-            gold_ordered = has_top_level_order(gold_sql)
+            gold_ordered = orders_result(gold_ast)
         seen: set[str] = set()
         for rank, (beam_sql, score) in enumerate(output.beam):
             try:

@@ -123,10 +123,28 @@ class ExecBackend(Protocol):
 
 
 class SqliteBackend:
-    """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite``."""
+    """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite``.
+
+    Holds one read-only connection per database, opened on first use, until
+    close(). Statements that would change what a later query sees (ATTACH,
+    DETACH, transaction control, savepoints, temporary objects, a PRAGMA
+    given a value) are refused as an ExecutionError, so every query runs as
+    it would on a fresh connection.
+    """
 
     def __init__(self, db_dir):
         self.db_dir = Path(db_dir)
+        self._conns: dict[str, sqlite3.Connection] = {}
+
+    def __enter__(self) -> "SqliteBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        while self._conns:
+            self._conns.popitem()[1].close()
 
     def _db_path(self, db_id: str) -> Path:
         base = self.db_dir / db_id
@@ -140,37 +158,60 @@ class SqliteBackend:
                 return found[0]
         raise BackendUnavailable(f"no database file for {db_id!r} under {self.db_dir}")
 
+    def _connection(self, db_id: str) -> sqlite3.Connection:
+        conn = self._conns.get(db_id)
+        if conn is None:
+            path = self._db_path(db_id)
+            try:
+                conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+                                       isolation_level=None, cached_statements=0)
+            except sqlite3.Error as exc:
+                raise BackendUnavailable(f"cannot open {path}: {exc}") from None
+            conn.set_authorizer(_read_only)
+            self._conns[db_id] = conn
+        return conn
+
     def execute(self, sql: str, db_id: str) -> list[tuple]:
-        path = self._db_path(db_id)
+        conn = self._connection(db_id)
         try:
-            conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-        except sqlite3.Error as exc:
-            raise BackendUnavailable(f"cannot open {path}: {exc}") from None
-        try:
-            cursor = conn.execute(sql)
-            return [tuple(row) for row in cursor.fetchall()]
+            return conn.execute(sql).fetchall()
         except sqlite3.Error as exc:
             raise ExecutionError(str(exc)) from None
-        finally:
-            conn.close()
+
+
+_REFUSED = frozenset({
+    sqlite3.SQLITE_ATTACH, sqlite3.SQLITE_DETACH, sqlite3.SQLITE_TRANSACTION,
+    sqlite3.SQLITE_SAVEPOINT, sqlite3.SQLITE_CREATE_TEMP_INDEX,
+    sqlite3.SQLITE_CREATE_TEMP_TABLE, sqlite3.SQLITE_CREATE_TEMP_TRIGGER,
+    sqlite3.SQLITE_CREATE_TEMP_VIEW, sqlite3.SQLITE_CREATE_VTABLE,
+})
+
+
+def _read_only(action, arg1, arg2, db_name, trigger) -> int:
+    """SQLite authorizer of a held connection: deny what would outlive the
+    statement. The authorizer cannot tell a PRAGMA's setting from its
+    argument, so pragma table_info(t) is refused too."""
+    if action in _REFUSED or (action == sqlite3.SQLITE_PRAGMA and arg2 is not None):
+        return sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_OK
 
 
 def execution_match(pred: str, gold: str, db_id: str, backend: ExecBackend,
                     gold_ordered: Optional[bool] = None) -> bool:
     """True iff both queries run and produce the same rows: compared as
     multisets, or as ordered sequences when the gold query orders its
-    result. A query that errors yields False; an unavailable backend
-    raises instead of producing a verdict."""
-    if gold_ordered is None:
-        gold_ordered = has_top_level_order(gold)
+    result (read from the gold text when gold_ordered is not given).
+    Identical texts run once. A query that errors yields False; an
+    unavailable backend raises instead of producing a verdict."""
     try:
         gold_rows = backend.execute(gold, db_id)
-    except ExecutionError:
-        return False
-    try:
+        if pred == gold:
+            return True
         pred_rows = backend.execute(pred, db_id)
     except ExecutionError:
         return False
+    if gold_ordered is None:
+        gold_ordered = has_top_level_order(gold)
     a = [_norm_row(r) for r in pred_rows]
     b = [_norm_row(r) for r in gold_rows]
     if gold_ordered:
@@ -181,6 +222,16 @@ def execution_match(pred: str, gold: str, db_id: str, backend: ExecBackend,
 def _norm_row(row: tuple) -> tuple:
     return tuple(float(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
                  else v for v in row)
+
+
+def orders_result(query: Query) -> bool:
+    """True iff the query orders its result: some query of its set-op chain
+    has an ORDER BY."""
+    while query is not None:
+        if query.order_by:
+            return True
+        query = query.set_op.right if query.set_op else None
+    return False
 
 
 def has_top_level_order(sql: str) -> bool:

@@ -195,20 +195,44 @@ def test_workers_with_db_dir_print_the_serial_output(schema_flag, db_dir, comman
 
 
 _WRONG_TYPES = {"wrong-type-list": ["a"], "wrong-type-number": 5, "wrong-type-null": None}
+_SQL = "select tweets.id from tweets"
+_GOOD_LINES = {
+    "eval": {"db_id": "social", "gold": _SQL, "pred": _SQL},
+    "synth": {"db_id": "social", "question": "q", "gold_sql": _SQL,
+              "beam": [{"sql": "select tweets.uid from tweets", "score": 1.0}]},
+    "mcnemar": {"a": True, "b": False},
+}
+# command -> (field, a value of the wrong type) pairs; "sql" is a beam entry's
+_WRONG_FIELDS = {
+    "eval": [("pred", 5), ("gold", None), ("db_id", ["social"])],
+    "synth": [("question", 5), ("gold_sql", ["x"]), ("db_id", ["social"]), ("sql", 5)],
+    "mcnemar": [("a", "false"), ("b", 0), ("a", "no"), ("b", None)],
+}
 
 
 @pytest.mark.parametrize("command,bad", [
     *[(command, bad) for command in ["eval", "synth", "simulate", "mcnemar", "render-edits"]
       for bad in ["invalid-json", "missing-field"]],
     ("simulate", "unknown-field"), ("stats", "unknown-field"),
-    *[("render-edits", bad) for bad in _WRONG_TYPES]])
+    *[("render-edits", bad) for bad in _WRONG_TYPES],
+    *[(command, f"wrong-{field}-{json.dumps(value)}")
+      for command, cases in _WRONG_FIELDS.items() for field, value in cases]])
 def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
+    field = None
     if bad == "invalid-json":
         line = "not json"
     elif bad == "missing-field":
         line = '{"db_id": "social"}'
     elif bad in _WRONG_TYPES:
         line = json.dumps({"kind": "insert", "new": _WRONG_TYPES[bad]})
+    elif bad.startswith("wrong-"):
+        field, value = bad.removeprefix("wrong-").split("-", 1)
+        record = {**_GOOD_LINES[command]}
+        if field == "sql":
+            record["beam"] = [{"sql": json.loads(value), "score": 1.0}]
+        else:
+            record[field] = json.loads(value)
+        line = json.dumps(record)
     else:  # a record with one field more than ExampleRecord has
         record = json.loads(synthesize_train(build_mock_beams(), schemas)[0].to_json())
         line = json.dumps({**record, "beam_size": 5})
@@ -222,6 +246,8 @@ def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
     assert "Traceback" not in proc.stderr
     if bad == "unknown-field":
         assert "'beam_size'" in proc.stderr
+    if field is not None:
+        assert (f'"{field}"' if field == "sql" else f"'{field}'") in proc.stderr
 
 
 @pytest.mark.parametrize("bad_line", [37, 60])
@@ -298,6 +324,13 @@ def test_mcnemar_command():
     result = json.loads(proc.stdout)
     assert result["b"] == 5 and result["c"] == 15
     assert abs(result["p"] - 0.04139) <= 1e-6
+
+
+def test_mcnemar_rejects_a_non_boolean_outcome():
+    lines = [json.dumps({"a": True, "b": False}), json.dumps({"a": "false", "b": True})]
+    proc = run_cli(["mcnemar"], stdin="\n".join(lines))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: line 2: field 'a' must be a boolean, got str\n"
 
 
 def test_synth_split_dev_stats_pipeline(schema_flag, tmp_path):

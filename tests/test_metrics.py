@@ -1,14 +1,18 @@
 import math
+import sqlite3
 
 import pytest
 
 from paperdata import CASE_TWEETS
+from queryfuzz import QueryFuzzer
 
-from sqlpatch.errors import BackendUnavailable
+from sqlpatch.errors import BackendUnavailable, ExecutionError
 from sqlpatch.metrics import (
-    SqliteBackend, exact_set_match, execution_match, mcnemar, mcnemar_counts,
+    SqliteBackend, exact_set_match, execution_match, has_top_level_order, mcnemar,
+    mcnemar_counts, orders_result,
 )
 from sqlpatch.parse import parse_sql
+from sqlpatch.render import render
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,105 @@ def test_backend_is_read_only(db_dir):
     with pytest.raises(Exception):
         backend.execute("drop table employee", "hr")
     assert backend.execute("select count(*) from employee", "hr") == [(3,)]
+
+
+def test_backend_opens_one_connection_per_database(db_dir, monkeypatch):
+    opened = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: opened.append(a) or connect(*a, **k))
+    with SqliteBackend(db_dir) as backend:
+        for _ in range(5):
+            for db_id in ("hr", "shop", "hr"):
+                backend.execute("select 1", db_id)
+    assert len(opened) == 2
+
+
+def test_backend_connection_survives_an_execution_error(db_dir):
+    with SqliteBackend(db_dir) as backend:
+        with pytest.raises(ExecutionError):
+            backend.execute("select nope from employee", "hr")
+        with pytest.raises(ExecutionError):
+            backend.execute("select 1; select 2", "hr")
+        assert backend.execute("select count(*) from employee", "hr") == [(3,)]
+
+
+_LIKE = "select name from employee where name like 'ada'"
+
+
+@pytest.mark.parametrize("stmt", [
+    "attach database ':memory:' as other", "detach database main", "begin",
+    "savepoint s", "pragma case_sensitive_like=1", "pragma case_sensitive_like(1)",
+    "create temp table t (a)", "create temp view v as select 1"])
+def test_backend_refuses_statements_that_change_the_connection(db_dir, stmt):
+    with SqliteBackend(db_dir) as backend:
+        assert backend.execute(_LIKE, "hr") == [("Ada",)]
+        with pytest.raises(ExecutionError):
+            backend.execute(stmt, "hr")
+        fresh = sqlite3.connect(f"file:{db_dir / 'hr' / 'hr.sqlite'}?mode=ro", uri=True)
+        try:
+            assert backend.execute(_LIKE, "hr") == fresh.execute(_LIKE).fetchall()
+        finally:
+            fresh.close()
+        assert backend.execute("select count(*) from sqlite_temp_master", "hr") == [(0,)]
+
+
+def test_backend_close_closes_every_connection(db_dir, monkeypatch):
+    opened = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *a, **k: opened.append(connect(*a, **k)) or opened[-1])
+    backend = SqliteBackend(db_dir)
+    backend.execute("select 1", "hr")
+    backend.execute("select 1", "cars")
+    backend.close()
+    backend.close()
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("select 1")
+    # a closed backend opens again on use
+    assert backend.execute("select count(*) from employee", "hr") == [(3,)]
+    backend.close()
+
+
+def test_backend_never_keeps_unavailability(tmp_path):
+    with SqliteBackend(tmp_path) as backend:
+        with pytest.raises(BackendUnavailable):
+            backend.execute("select 1", "late")
+        (tmp_path / "late").mkdir()
+        sqlite3.connect(tmp_path / "late" / "late.sqlite").close()
+        assert backend.execute("select 1", "late") == [(1,)]
+
+
+class _CountingBackend:
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = 0
+
+    def execute(self, sql, db_id):
+        self.calls += 1
+        return self.backend.execute(sql, db_id)
+
+
+@pytest.mark.parametrize("sql,expected", [
+    ("select employee.name from employee", True), ("select nope from employee", False)])
+def test_ex_identical_texts_execute_once(db_dir, sql, expected):
+    with SqliteBackend(db_dir) as sqlite:
+        counting = _CountingBackend(sqlite)
+        assert execution_match(sql, sql, "hr", counting) is expected
+        assert counting.calls == 1
+
+
+def test_order_flag_from_the_ast_matches_the_text_scan(schemas):
+    fuzzer = QueryFuzzer(schemas, seed=909)
+    seen = set()
+    for _ in range(2000):
+        _, query = fuzzer.query()
+        flag = orders_result(query)
+        assert flag == has_top_level_order(render(query)), render(query)
+        chained = query.set_op is not None
+        seen.add((chained, flag, chained and bool(query.set_op.right.order_by)))
+    assert {(True, True, True), (True, True, False), (True, False, False),
+            (False, True, False), (False, False, False)} <= seen
 
 
 # ---------------------------------------------------------------------------
