@@ -174,12 +174,6 @@ def _read(path) -> str:
     return sys.stdin.read()
 
 
-def _read_lines(path) -> list[str]:
-    """The input's lines, blank ones included, split at line feeds only:
-    JSON text may hold U+2028 and the other breaks str.splitlines splits at."""
-    return _read(path).split("\n")
-
-
 def _load_schema(args, parser) -> dict:
     if not args.schema:
         parser.error("--schema is required (or set SQLPATCH_SCHEMA)")
@@ -198,13 +192,23 @@ def _query_from_text(text: str, args, parser):
     return parse_sql(text.strip(), schema)
 
 
-def _map_lines(fn, path, workers: int):
+def _schema_of(schemas, db_id):
+    """The schema of a record's db_id; a domain error when it has none."""
+    schema = schemas.get(db_id)
+    if schema is None:
+        raise SchemaError(f"db_id {db_id!r} not present in the schema file")
+    return schema
+
+
+def _map_lines(fn, path, workers: int = 1):
     """Yield fn(line) for every non-blank JSONL input line, in input order;
     on a process pool when workers > 1, whose initializer hands fn, with
     the schemas bound in it, to each worker once, and which takes the lines
-    in about four chunks per worker. A domain error ends the run and names
-    its 1-based line."""
-    numbered = [(n, line) for n, line in enumerate(_read_lines(path), 1) if line.strip()]
+    in about four chunks per worker. Lines split at line feeds only: JSON
+    text may hold U+2028 and the other breaks str.splitlines splits at. A
+    domain error ends the run and names its 1-based line."""
+    numbered = [(n, line) for n, line in enumerate(_read(path).split("\n"), 1)
+                if line.strip()]
     lines = [line for _, line in numbered]
     with ExitStack() as stack:
         if workers > 1:
@@ -288,14 +292,16 @@ def _cmd_render_edits(args, parser) -> int:
             print(json.dumps({"kind": action.kind, "old": action.old,
                               "new": action.new}, ensure_ascii=False))
         return 0
-    actions = tuple(_map_lines(_edit_action, args.input, 1))
+    actions = tuple(_map_lines(_edit_action, args.input))
     print(render_edits(EditScript(args.granularity, actions)))
     return 0
 
 
+_EDIT_ACTION_FIELDS = dict.fromkeys(("kind", "old", "new"), str)
+
+
 def _edit_action(line) -> EditAction:
-    kind, old, new = ds.json_fields(line, ("kind", "old", "new"),
-                                    defaults={"old": "", "new": ""})
+    kind, old, new = ds.json_fields(line, _EDIT_ACTION_FIELDS, defaults={"old": "", "new": ""})
     return EditAction(kind, old=old, new=new)
 
 
@@ -329,15 +335,12 @@ def _open_backend(args):
     return SqliteBackend(args.db_dir) if args.db_dir else nullcontext()
 
 
-_EVAL_FIELDS = ("db_id", "gold", "pred")
+_EVAL_FIELDS = dict.fromkeys(("db_id", "gold", "pred"), str)
 
 
 def _eval_line(line, schemas, backend):
-    db_id, gold_text, pred_text = ds.json_fields(
-        line, _EVAL_FIELDS, kinds=dict.fromkeys(_EVAL_FIELDS, str))
-    schema = schemas.get(db_id)
-    if schema is None:
-        raise SchemaError(f"db_id {db_id!r} not present in the schema file")
+    db_id, gold_text, pred_text = ds.json_fields(line, _EVAL_FIELDS)
+    schema = _schema_of(schemas, db_id)
     pred = parse_sql(pred_text, schema)
     gold = parse_sql(gold_text, schema)
     ex = None
@@ -366,8 +369,8 @@ def _cmd_eval(args, parser) -> int:
 
 def _cmd_mcnemar(args, parser) -> int:
     b = c = 0
-    for a_ok, b_ok in _map_lines(partial(ds.json_fields, names=("a", "b"),
-                                         kinds={"a": bool, "b": bool}), args.input, 1):
+    for a_ok, b_ok in _map_lines(partial(ds.json_fields, types={"a": bool, "b": bool}),
+                                 args.input):
         b += a_ok and not b_ok
         c += (not a_ok) and b_ok
     result = mcnemar_counts(b, c)
@@ -398,7 +401,7 @@ def _cmd_synth(args, parser) -> int:
 
 
 def _cmd_split_folds(args, parser) -> int:
-    outputs = ds.read_parser_outputs(_read_lines(args.input))
+    outputs = list(_map_lines(ds.ParserOutput.from_json, args.input))
     folds = ds.split_folds(outputs, args.folds)
     assignment = {}
     for i, fold in enumerate(folds):
@@ -412,7 +415,7 @@ def _cmd_split_folds(args, parser) -> int:
 
 
 def _cmd_build_dev(args, parser) -> int:
-    records = ds.read_records(_read_lines(args.input))
+    records = list(_map_lines(ds.ExampleRecord.from_json, args.input))
     split = ds.build_dev_set(records, n_dbs=args.n_dbs, seed=args.seed)
     with open(args.train_out, "w", encoding="utf-8") as fh:
         fh.writelines(r.to_json() + "\n" for r in split.train)
@@ -423,42 +426,34 @@ def _cmd_build_dev(args, parser) -> int:
 
 
 def _cmd_stats(args, parser) -> int:
-    stats = ds.dataset_stats(ds.read_records(_read_lines(args.input)))
+    stats = ds.dataset_stats(list(_map_lines(ds.ExampleRecord.from_json, args.input)))
     print(json.dumps({"count": stats.count, "avg_edits": stats.avg_edits}))
     return 0
 
 
 def _cmd_simulate(args, parser) -> int:
-    records = ds.read_records(_read_lines(args.input))
     if args.generator == "noisy" and not args.generator_cmd and args.seed is None:
         parser.error("--seed is required for the noisy generator")
-    schemas = _load_schema(args, parser) if args.schema else None
+    schemas = _load_schema(args, parser)
     external = SubprocessGenerator(args.generator_cmd.split()) if args.generator_cmd else None
-    try:
-        for record in records:
-            gold_text = _gold_edits_for(record, schemas, parser)
-            if external is not None:
-                generator = external
-            else:
-                rate = {"oracle": 0.0, "adversarial": 1.0}.get(
-                    args.generator, args.distractor_rate)
-                generator = OracleGenerator(gold_text, distractor_rate=rate,
-                                            shuffle_seed=args.seed or 0,
-                                            gold_sql=record.gold_sql)
-            log = simulate(record, gold_text, generator, beam_size=args.beam_size)
-            print(log.to_json())
-    finally:
-        if external is not None:
-            external.close()
+    with external or nullcontext():
+        for session in _map_lines(partial(_simulate_line, schemas=schemas, args=args,
+                                          external=external), args.input):
+            print(session)
     return 0
 
 
-def _gold_edits_for(record, schemas, parser):
-    if schemas is None:
-        parser.error("--schema is required for simulate")
-    schema = _schema_for(schemas, record.db_id, parser)
+def _simulate_line(line, schemas, args, external) -> str:
+    record = ds.ExampleRecord.from_json(line)
+    schema = _schema_of(schemas, record.db_id)
     rep = ds.representation(record.query_rep, record.edit_rep)
-    return rep.diff(parse_sql(record.wrong_sql, schema), parse_sql(record.gold_sql, schema))
+    gold = rep.diff(parse_sql(record.wrong_sql, schema), parse_sql(record.gold_sql, schema))
+    generator = external
+    if generator is None:
+        rate = {"oracle": 0.0, "adversarial": 1.0}.get(args.generator, args.distractor_rate)
+        generator = OracleGenerator(gold, distractor_rate=rate, shuffle_seed=args.seed or 0,
+                                    gold_sql=record.gold_sql)
+    return simulate(record, gold, generator, beam_size=args.beam_size).to_json()
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Optional
+import sys
+from dataclasses import asdict, dataclass
+from typing import Optional, get_type_hints
 
 from .clausemap import CLAUSE_INDEX, decompose, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
@@ -178,16 +179,12 @@ class ParserOutput:
 
     @staticmethod
     def from_json(line: str) -> "ParserOutput":
-        db_id, question, gold_sql, beam = json_fields(
-            line, ("db_id", "question", "gold_sql", "beam"),
-            kinds=dict.fromkeys(("db_id", "question", "gold_sql"), str))
-        try:
-            beam = tuple((e["sql"], float(e["score"])) for e in beam)
-            if not all(isinstance(sql, str) for sql, _ in beam):
-                raise TypeError
-        except (KeyError, TypeError, ValueError):
+        db_id, question, gold_sql, beam = json_fields(line, _PARSER_OUTPUT_FIELDS)
+        if not all(type(e) is dict and type(e.get("sql")) is str
+                   and _has_type(e.get("score"), float) for e in beam):
             raise DatasetError(
-                'each beam entry needs a string "sql" and a numeric "score"') from None
+                'each beam entry needs a string "sql" and a finite numeric "score"')
+        beam = tuple((e["sql"], float(e["score"])) for e in beam)
         return ParserOutput(db_id=db_id, question=question, gold_sql=gold_sql, beam=beam)
 
     def to_json(self) -> str:
@@ -220,58 +217,48 @@ class ExampleRecord:
         return json.dumps(asdict(self), ensure_ascii=False)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(ExampleRecord))
+_PARSER_OUTPUT_FIELDS = {"db_id": str, "question": str, "gold_sql": str, "beam": list}
+_RECORD_FIELDS = get_type_hints(ExampleRecord)
 
 
-def json_fields(line: str, names, only: bool = False, defaults=None, kinds=None) -> list:
-    """The named fields of the JSON object on one input line, a missing one
-    read from defaults when it is there; a DatasetError when the line is
-    not a JSON object, lacks any other of them, holds a field named in
-    kinds that is not of its type (str or bool) or, if only is set, holds
-    any other field."""
+def json_fields(line: str, types: dict, only: bool = False, defaults=None) -> list:
+    """The fields named in types of the JSON object on one input line, in
+    that order, a missing one read from defaults when it is there; a
+    DatasetError when the line is not a JSON object, lacks any other of
+    them, holds one that is not of its type or, if only is set, holds any
+    other field."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatasetError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
     defaults = defaults or {}
-    for name in names:
-        if name not in obj and name not in defaults:
-            raise DatasetError(f"missing field {name!r}")
-    if only:
-        for name in obj:
-            if name not in names:
-                raise DatasetError(f"unknown field {name!r}")
-    for name, kind in (kinds or {}).items():
-        if not isinstance(obj[name], kind):
+    for name, kind in types.items():
+        if name not in obj:
+            if name not in defaults:
+                raise DatasetError(f"missing field {name!r}")
+        elif not _has_type(obj[name], kind):
             raise DatasetError(f"field {name!r} must be {_KIND_NAMES[kind]}, "
                                f"got {type(obj[name]).__name__}")
-    return [obj[name] if name in obj else defaults[name] for name in names]
+    if only:
+        for name in obj:
+            if name not in types:
+                raise DatasetError(f"unknown field {name!r}")
+    return [obj[name] if name in obj else defaults[name] for name in types]
 
 
-_KIND_NAMES = {str: "a string", bool: "a boolean"}
+def _has_type(value, kind) -> bool:
+    """Whether a JSON-decoded value is of kind: an int is never a bool, a
+    float is any finite number, and a number of either kind fits a float,
+    so that a mean of such numbers is one too."""
+    if kind is int or kind is float:
+        return type(value) in (int, kind) and abs(value) <= sys.float_info.max
+    return type(value) is kind
 
 
-def read_parser_outputs(lines: Iterable[str]) -> list[ParserOutput]:
-    return _read_numbered(ParserOutput.from_json, lines)
-
-
-def read_records(lines: Iterable[str]) -> list[ExampleRecord]:
-    return _read_numbered(ExampleRecord.from_json, lines)
-
-
-def _read_numbered(parse, lines: Iterable[str]) -> list:
-    """parse(line) of every non-blank line; a DatasetError names the
-    1-based line, counting blank ones."""
-    out = []
-    for n, line in enumerate(lines, 1):
-        if line.strip():
-            try:
-                out.append(parse(line))
-            except DatasetError as exc:
-                raise DatasetError(f"line {n}: {exc}") from None
-    return out
+_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
+               float: "a finite number", list: "a list"}
 
 
 # ---------------------------------------------------------------------------

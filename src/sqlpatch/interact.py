@@ -18,9 +18,9 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
-from .dataset import ExampleRecord, representation
+from .dataset import ExampleRecord, json_fields, representation
 from .editscript import EditScript, render_edits
-from .errors import SqlPatchError
+from .errors import DatasetError, SqlPatchError
 from .program import EditProgram, render_program
 
 
@@ -182,9 +182,18 @@ class SubprocessGenerator:
         line = self.proc.stdout.readline()
         if not line:
             raise SqlPatchError("external generator closed its output stream")
-        response = json.loads(line)
+        try:
+            (entries,) = json_fields(line, {"candidates": list}, defaults={"candidates": []})
+        except DatasetError as exc:
+            raise SqlPatchError(f"external generator response: {exc}") from None
+        if not all(type(c) is dict and type(c.get("final_query", "")) is str
+                   and type(c.get("actions", [])) is list
+                   and all(type(a) is str for a in c.get("actions", [])) for c in entries):
+            raise SqlPatchError('external generator response: each candidate must be an '
+                                'object with a list of strings "actions" and a string '
+                                '"final_query"')
         return [Candidate(tuple(c.get("actions", ())), c.get("final_query", ""))
-                for c in response.get("candidates", [])]
+                for c in entries]
 
     def close(self):
         self.proc.stdin.close()

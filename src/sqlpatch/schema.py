@@ -28,9 +28,6 @@ class SchemaInfo:
     def has_column(self, table: str, column: str) -> bool:
         return column in self.columns.get(table, ())
 
-    def tables_with_column(self, column: str) -> list[str]:
-        return [t for t in self.tables if column in self.columns[t]]
-
     def serialize(self) -> str:
         """Flat text form: ``db_id | table : col, col | table : ...`` (lowercase)."""
         parts = [self.db_id.lower()]

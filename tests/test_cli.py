@@ -202,12 +202,22 @@ _GOOD_LINES = {
               "beam": [{"sql": "select tweets.uid from tweets", "score": 1.0}]},
     "mcnemar": {"a": True, "b": False},
 }
-# command -> (field, a value of the wrong type) pairs; "sql" is a beam entry's
+# command -> (field, a value of the wrong type) pairs; "sql" and "score"
+# are a beam entry's, and stats, build-dev and simulate read ExampleRecords
 _WRONG_FIELDS = {
     "eval": [("pred", 5), ("gold", None), ("db_id", ["social"])],
-    "synth": [("question", 5), ("gold_sql", ["x"]), ("db_id", ["social"]), ("sql", 5)],
+    "synth": [("question", 5), ("gold_sql", ["x"]), ("db_id", ["social"]), ("sql", 5),
+              ("score", "nan"), ("score", "1.0"), ("score", True), ("score", float("nan")),
+              ("score", float("inf"))],
     "mcnemar": [("a", "false"), ("b", 0), ("a", "no"), ("b", None)],
+    "stats": [("n_edits", "3"), ("beam_rank", True), ("beam_score", float("nan"))],
+    "build-dev": [("db_id", 3)],
+    "simulate": [("beam_score", True), ("x", None)],
 }
+
+
+def _a_record(schemas):
+    return json.loads(synthesize_train(build_mock_beams(), schemas)[0].to_json())
 
 
 @pytest.mark.parametrize("command,bad", [
@@ -216,8 +226,9 @@ _WRONG_FIELDS = {
     ("simulate", "unknown-field"), ("stats", "unknown-field"),
     *[("render-edits", bad) for bad in _WRONG_TYPES],
     *[(command, f"wrong-{field}-{json.dumps(value)}")
-      for command, cases in _WRONG_FIELDS.items() for field, value in cases]])
-def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
+      for command, cases in _WRONG_FIELDS.items() for field, value in cases],
+    ("simulate", "unknown-db_id")])
+def test_malformed_line_is_a_domain_error(schema_flag, schemas, tmp_path, command, bad):
     field = None
     if bad == "invalid-json":
         line = "not json"
@@ -227,18 +238,22 @@ def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
         line = json.dumps({"kind": "insert", "new": _WRONG_TYPES[bad]})
     elif bad.startswith("wrong-"):
         field, value = bad.removeprefix("wrong-").split("-", 1)
-        record = {**_GOOD_LINES[command]}
-        if field == "sql":
-            record["beam"] = [{"sql": json.loads(value), "score": 1.0}]
+        record = {**_GOOD_LINES[command]} if command in _GOOD_LINES else _a_record(schemas)
+        if field in ("sql", "score"):
+            record["beam"] = [{**record["beam"][0], field: json.loads(value)}]
         else:
             record[field] = json.loads(value)
         line = json.dumps(record)
+    elif bad == "unknown-db_id":
+        line = json.dumps({**_a_record(schemas), "db_id": "nowhere"})
     else:  # a record with one field more than ExampleRecord has
-        record = json.loads(synthesize_train(build_mock_beams(), schemas)[0].to_json())
-        line = json.dumps({**record, "beam_size": 5})
+        line = json.dumps({**_a_record(schemas), "beam_size": 5})
     args = [command] + (schema_flag if command in ("eval", "synth", "simulate") else [])
     if command == "render-edits":
         args += ["--granularity", "token"]
+    if command == "build-dev":
+        args += ["--n-dbs", "1", "--seed", "0", "--train-out", str(tmp_path / "train"),
+                 "--dev-out", str(tmp_path / "dev")]
     proc = run_cli(args, stdin="\n" + line + "\n")
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -246,8 +261,24 @@ def test_malformed_line_is_a_domain_error(schema_flag, schemas, command, bad):
     assert "Traceback" not in proc.stderr
     if bad == "unknown-field":
         assert "'beam_size'" in proc.stderr
+    if bad == "unknown-db_id":
+        assert "'nowhere'" in proc.stderr
     if field is not None:
-        assert (f'"{field}"' if field == "sql" else f"'{field}'") in proc.stderr
+        assert (f'"{field}"' if field in ("sql", "score") else f"'{field}'") in proc.stderr
+
+
+@pytest.mark.parametrize("line", ['{"a": ' + "1" * 5000 + ', "b": true}', "[" * 100_000],
+                         ids=["long-integer", "deep-nesting"])
+def test_json_the_decoder_refuses_is_a_domain_error(line):
+    proc = run_cli(["mcnemar"], stdin=line)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: line 1: invalid JSON: ")
+
+
+def test_stats_rejects_an_edit_count_no_float_holds(schemas):
+    proc = run_cli(["stats"], stdin=json.dumps({**_a_record(schemas), "n_edits": 10 ** 400}))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: line 1: field 'n_edits' must be an integer")
 
 
 @pytest.mark.parametrize("bad_line", [37, 60])
@@ -403,6 +434,33 @@ def test_simulate_with_external_generator(schema_flag, tmp_path):
     log = json.loads(proc.stdout)
     assert log["fully_corrected"] is False
     assert log["result_sql"] == record["wrong_sql"]
+
+
+@pytest.mark.parametrize("bad_response", ['{"candidates": [{"actions": ["sql', "[1, 2]",
+                                          '{"candidates": [1]}',
+                                          '{"candidates": [{"actions": "sql"}]}'])
+def test_simulate_names_the_line_of_a_malformed_generator_response(
+        schema_flag, schemas, tmp_path, bad_response):
+    # The generator answers the first request with no candidates and the
+    # second with a malformed response; the session of record 1 comes out.
+    gen = tmp_path / "gen.py"
+    responses = ['{"candidates": []}', bad_response]
+    gen.write_text(f"import sys\nresponses = iter({responses!r})\n"
+                   "for request in sys.stdin:\n"
+                   "    print(next(responses), flush=True)\n", encoding="utf-8")
+    record = json.dumps(_a_record(schemas))
+    proc = run_cli(["simulate", *schema_flag, "--generator-cmd", f"{sys.executable} {gen}"],
+                   stdin=record + "\n" + record + "\n")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["fully_corrected"] is False
+    assert proc.stderr.startswith("error: line 2: external generator response: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_requires_schema_before_reading_input():
+    proc = run_cli(["simulate"], stdin="not json\n")
+    assert proc.returncode == 2
+    assert "--schema is required" in proc.stderr
 
 
 def test_simulate_noisy_requires_seed(schema_flag):

@@ -1,0 +1,128 @@
+"""Seeded fuzz of the eight JSONL subcommands, run in-process through
+``cli.main``. Each command reads a valid line of another database and then
+one mutated line: every truncation of a valid seed line, random
+single-character substitutions, and every field, nested ones included,
+replaced by a value of each JSON kind. Every run must exit 0 or 1 with no
+exception escaping ``main``, and each stdout line of the commands that
+print JSON must parse as strict JSON (no ``NaN`` or ``Infinity``)."""
+
+import contextlib
+import io
+import json
+import random
+import sys
+
+import pytest
+
+from sqlpatch import cli
+from sqlpatch.dataset import ParserOutput, synthesize_train
+
+SEED = 20231018
+SUBSTITUTIONS = 40
+REPLACEMENTS = ['"3"', "3", "2.5", "true", "null", "[]", "{}", "NaN"]
+SUBSTITUTE_CHARS = '{}[]":,\\ 0123456789.-eEtrufalsné '
+STRICT_JSON_OUTPUT = {"synth", "eval", "simulate", "stats"}
+
+
+def _beam(db_id, table, column):
+    return ParserOutput(db_id, f"which {column}?", f"select {table}.{column} from {table}",
+                        ((f"select {table}.{column} from {table} limit 2", 1.0),
+                         (f"select count(*) from {table}", 0.5)))
+
+
+def _seed_lines(schemas):
+    """command -> (a valid line of the cars database, the line to mutate)."""
+    beams = [_beam("cars", "cars_data", "mpg"), _beam("social", "tweets", "text")]
+    records = [synthesize_train([b], schemas)[0].to_json() for b in beams]
+    beam_lines = [b.to_json() for b in beams]
+    evals = [json.dumps({"db_id": b.db_id, "gold": b.gold_sql, "pred": b.beam[0][0]})
+             for b in beams]
+    return {
+        "eval": evals, "synth": beam_lines, "split-folds": beam_lines,
+        "mcnemar": [json.dumps({"a": True, "b": False}), json.dumps({"a": False, "b": True})],
+        "render-edits": [json.dumps({"kind": "delete", "old": "limit 2"}),
+                         json.dumps({"kind": "replace", "old": "where tweets.id > 1",
+                                     "new": "where tweets.id > 2"})],
+        "build-dev": records, "stats": records, "simulate": records,
+    }
+
+
+def _paths(value, path=()):
+    """The path of every value inside a decoded JSON value, itself excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+def _replaced(obj, path, text):
+    """obj as JSON text with the value at path replaced by the JSON text given."""
+    marker = "\x00marker"
+    copy = json.loads(json.dumps(obj))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = marker
+    return json.dumps(copy).replace(json.dumps(marker), text)
+
+
+def _mutations(line):
+    rng = random.Random(f"{SEED}:{line}")
+    yield from (line[:n] for n in range(len(line)))
+    for _ in range(SUBSTITUTIONS):
+        n = rng.randrange(len(line))
+        yield line[:n] + rng.choice(SUBSTITUTE_CHARS) + line[n + 1:]
+    obj = json.loads(line)
+    for path in _paths(obj):
+        yield from (_replaced(obj, path, text) for text in REPLACEMENTS)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _run(args, stdin, monkeypatch):
+    """The exit status and stdout of cli.main, or the exception that escaped it."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(args)
+    except (Exception, SystemExit) as exc:
+        return exc, out.getvalue()
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["eval", "synth", "mcnemar", "render-edits",
+                                     "split-folds", "build-dev", "stats", "simulate"])
+def test_mutated_lines_exit_cleanly(command, schemas, tables_json_path, tmp_path,
+                                    monkeypatch):
+    schema = ["--schema", str(tables_json_path)]
+    args = {
+        "eval": ["eval", *schema], "synth": ["synth", *schema], "mcnemar": ["mcnemar"],
+        "render-edits": ["render-edits", "--granularity", "clause-sql"],
+        "split-folds": ["split-folds", "--folds", "2"],
+        "build-dev": ["build-dev", "--n-dbs", "1", "--seed", "0",
+                      "--train-out", str(tmp_path / "train"),
+                      "--dev-out", str(tmp_path / "dev")],
+        "stats": ["stats"], "simulate": ["simulate", *schema],
+    }[command]
+    # argparse parsers are reusable; building one per run would take most of the time
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    context, line = _seed_lines(schemas)[command]
+    code, stdout = _run(args, context + "\n" + line + "\n", monkeypatch)
+    assert code == 0 and stdout, "the unmutated seed lines must succeed"
+    failures = []
+    for mutated in _mutations(line):
+        code, stdout = _run(args, context + "\n" + mutated + "\n", monkeypatch)
+        if code not in (0, 1):
+            failures.append((mutated, repr(code)))
+        elif command in STRICT_JSON_OUTPUT:
+            try:
+                for out_line in stdout.splitlines():
+                    json.loads(out_line, parse_constant=_reject_constant)
+            except ValueError as exc:
+                failures.append((mutated, f"stdout is not strict JSON: {exc}"))
+    assert not failures, f"{len(failures)} failing lines, first: {failures[:3]}"
