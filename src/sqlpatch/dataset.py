@@ -11,16 +11,15 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, get_type_hints
 
 from .clausemap import CLAUSE_INDEX, decompose, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
 from .editscript import EditScript, parse_edits, render_edits
 from .errors import DatasetError, ExecutionError, SqlPatchError
-from .metrics import (
-    EvalOutcome, ExecBackend, exact_set_match, execution_match, orders_result,
-)
+from .metrics import ExecBackend, exact_set_match, execution_match, orders_result
 from .parse import parse_sql
 from .program import EditProgram, Pop, parse_program, render_program
 from .pydict import render_pydict
@@ -50,10 +49,10 @@ class Representation:
 
     granularity = query_rep = edit_rep = ""
 
-    def prepare(self, ast):
-        """The form of a query AST that diff and render_query take: the AST
-        itself here, its clause map for the pydict rows."""
-        return ast
+    def prepare(self, query):
+        """The form of a parsed query of a question that diff takes: its AST
+        here, its clause map for the pydict rows."""
+        return query.ast
 
     def diff(self, wrong, gold):
         """The edit script or program that turns the wrong query into the
@@ -72,8 +71,8 @@ class Representation:
         return to_sql(apply_clause_edits(sql_to_clause_map(wrong_sql), script))
 
     def render_query(self, query) -> str:
-        """The query as the x and y texts carry it, from its prepared form."""
-        return render(query)
+        """The parsed query as the x and y texts carry it."""
+        return query.sql
 
     def order(self, action) -> tuple:
         """Sort key of an action selected out of order: the canonical index
@@ -108,11 +107,11 @@ class _ClauseSqlEdits(Representation):
 class _PydictQuery(Representation):
     query_rep = "pydict"
 
-    def prepare(self, ast):
-        return decompose(ast)
+    def prepare(self, query):
+        return query.clause_map
 
     def render_query(self, query) -> str:
-        return render_pydict(query)
+        return render_pydict(query.clause_map)
 
 
 class _ClausePydictEdits(_PydictQuery):
@@ -214,7 +213,7 @@ class ExampleRecord:
         return ExampleRecord(*json_fields(line, _RECORD_FIELDS, only=True))
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False)
+        return json.dumps(vars(self), ensure_ascii=False)
 
 
 _PARSER_OUTPUT_FIELDS = {"db_id": str, "question": str, "gold_sql": str, "beam": list}
@@ -305,40 +304,55 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
         if schema is None:
             raise DatasetError(f"schema missing for db_id {output.db_id!r}")
         try:
-            gold_ast = parse_sql(output.gold_sql, schema)
+            gold = _Query(parse_sql(output.gold_sql, schema))
         except SqlPatchError as exc:
             raise DatasetError(
                 f"gold query does not parse for {output.db_id!r}: {exc}") from None
-        gold_sql = render(gold_ast)
         rows = gold_ordered = None
         if backend is not None:
             rows = _RowMemo(backend)  # per question, so the rows kept never pile up
-            gold_ordered = orders_result(gold_ast)
+            gold_ordered = orders_result(gold.ast)
         seen: set[str] = set()
         for rank, (beam_sql, score) in enumerate(output.beam):
             try:
-                ast = parse_sql(beam_sql, schema)
+                wrong = _Query(parse_sql(beam_sql, schema))
             except SqlPatchError:
                 continue  # ungrammatical parses never enter the data
-            wrong_sql = render(ast)
-            if wrong_sql in seen:
+            if wrong.sql in seen:
                 continue
-            seen.add(wrong_sql)
+            seen.add(wrong.sql)
             if rows is not None:
                 try:
-                    rows.execute(wrong_sql, output.db_id)
+                    rows.execute(wrong.sql, output.db_id)
                 except ExecutionError:
                     continue  # non-executable parses are dropped too
-            outcome = _evaluate(ast, gold_ast, wrong_sql, gold_sql, output.db_id, rows,
-                                gold_ordered)
-            if not _is_wrong(outcome, policy):
-                continue
+            em = exact_set_match(wrong.ast, gold.ast)
+            ex = em if rows is None else execution_match(  # no backend: EM alone judges
+                wrong.sql, gold.sql, output.db_id, rows, gold_ordered=gold_ordered)
+            if (em and ex) if policy == "either" else (em or ex):
+                continue  # correct parses never enter the data
             for query_rep, edit_rep in reps:
-                record = make_record(output, rank, score, schema, ast, gold_ast,
+                record = make_record(output, rank, score, schema, wrong, gold,
                                      query_rep, edit_rep, program_only)
                 if record is not None:
                     records.append(record)
     return records
+
+
+class _Query:
+    """One parsed query of a question: its AST, with its canonical text and
+    its clause map each made the first time it is read."""
+
+    def __init__(self, ast):
+        self.ast = ast
+
+    @cached_property
+    def sql(self) -> str:
+        return render(self.ast)
+
+    @cached_property
+    def clause_map(self):
+        return decompose(self.ast)
 
 
 class _RowMemo:
@@ -363,66 +377,48 @@ class _RowMemo:
         return outcome
 
 
-def _evaluate(ast, gold_ast, wrong_sql, gold_sql, db_id, backend,
-              gold_ordered) -> EvalOutcome:
-    em = exact_set_match(ast, gold_ast)
-    ex = None
-    if backend is not None:
-        ex = execution_match(wrong_sql, gold_sql, db_id, backend, gold_ordered=gold_ordered)
-    return EvalOutcome(em, ex)
-
-
-def _is_wrong(outcome: EvalOutcome, policy: str) -> bool:
-    if outcome.ex is None:
-        return not outcome.em
-    if policy == "either":
-        return (not outcome.em) or (not outcome.ex)
-    return (not outcome.em) and (not outcome.ex)
-
-
 def make_record(output: ParserOutput, rank: int, score: float, schema: SchemaInfo,
                 wrong_ast, gold_ast, query_rep: str, edit_rep: str,
                 program_only: bool = False) -> Optional[ExampleRecord]:
-    """Build one ExampleRecord, or None when the pair has no edits."""
+    """Build one ExampleRecord, or None when the pair has no edits. Each
+    query is an AST or the value synthesize_train wraps it in."""
     rep = representation(query_rep, edit_rep)
-    wrong, gold = rep.prepare(wrong_ast), rep.prepare(gold_ast)
-    edits = rep.diff(wrong, gold)
-    if not edits:
+    wrong, gold = (q if isinstance(q, _Query) else _Query(q) for q in (wrong_ast, gold_ast))
+    schema_serial = schema.serialize()
+    example = _example(rep, output.question, schema_serial, wrong, gold, program_only)
+    if example is None:
         return None
-    x, y = _example(rep, output.question, schema.serialize(), wrong, gold,
-                    rep.render_edits(edits), program_only)
-    return ExampleRecord(
-        db_id=output.db_id, question=output.question,
-        schema_serial=schema.serialize(),
-        wrong_sql=render(wrong_ast), gold_sql=render(gold_ast),
-        query_rep=query_rep, edit_rep=edit_rep, x=x, y=y,
-        n_edits=len(edits), beam_rank=rank, beam_score=score,
-    )
+    return ExampleRecord(output.db_id, output.question, schema_serial, wrong.sql, gold.sql,
+                         query_rep, edit_rep, *example, rank, score)  # example: x, y, n_edits
 
 
 def serialize_example(question: str, schema_serial: str, wrong_ast, gold_ast,
-                      query_rep: str, edit_rep: str, program_only: bool = False,
-                      edits_text: Optional[str] = None) -> tuple[str, str]:
-    """Build the (x, y) pair: x = utterance | schema | wrong query, and
-    y = edits <sep> gold query (or the edits alone in program-only mode)."""
-    rep = representation(query_rep, edit_rep)
-    wrong, gold = rep.prepare(wrong_ast), rep.prepare(gold_ast)
-    if edits_text is None:
-        edits = rep.diff(wrong, gold)
-        if not edits:
-            raise DatasetError("refusing to serialize a pair with no edits")
-        edits_text = rep.render_edits(edits)
-    return _example(rep, question, schema_serial, wrong, gold, edits_text, program_only)
+                      query_rep: str, edit_rep: str,
+                      program_only: bool = False) -> tuple[str, str]:
+    """Build the (x, y) pair of two query ASTs; a DatasetError when they
+    have no edits."""
+    example = _example(representation(query_rep, edit_rep), question, schema_serial,
+                       _Query(wrong_ast), _Query(gold_ast), program_only)
+    if example is None:
+        raise DatasetError("refusing to serialize a pair with no edits")
+    return example[:2]
 
 
-def _example(rep: Representation, question: str, schema_serial: str, wrong, gold,
-             edits_text: str, program_only: bool) -> tuple[str, str]:
-    x = X_SEPARATOR.join([question, schema_serial, rep.render_query(wrong)])
+def _example(rep: Representation, question: str, schema_serial: str, wrong: _Query,
+             gold: _Query, program_only: bool) -> Optional[tuple[str, str, int]]:
+    """x = utterance | schema | wrong query, y = edits <sep> gold query (or
+    the edits alone in program-only mode), and the edit count; None when
+    the pair has no edits."""
+    edits = rep.diff(rep.prepare(wrong), rep.prepare(gold))
+    if not edits:
+        return None
+    y = rep.render_edits(edits)
     if program_only:
         if rep.edit_rep != "program":
             raise DatasetError("program-only serialization requires program edits")
-        return x, edits_text
-    return x, edits_text + Y_SEPARATOR + rep.render_query(gold)
+    else:
+        y += Y_SEPARATOR + rep.render_query(gold)
+    return X_SEPARATOR.join([question, schema_serial, rep.render_query(wrong)]), y, len(edits)
 
 
 # ---------------------------------------------------------------------------

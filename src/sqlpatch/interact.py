@@ -23,6 +23,8 @@ from .editscript import EditScript, render_edits
 from .errors import DatasetError, SqlPatchError
 from .program import EditProgram, render_program
 
+EXIT_WAIT_S = 10  # how long close() waits for an external generator to exit
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -171,8 +173,11 @@ class SubprocessGenerator:
     ``{"candidates": [{"actions": [...], "final_query": "..."}]}``."""
 
     def __init__(self, cmd: Sequence[str]):
-        self.proc = subprocess.Popen(
-            list(cmd), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            self.proc = subprocess.Popen(
+                list(cmd), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        except OSError as exc:
+            raise SqlPatchError(f"cannot start external generator: {exc}") from None
 
     def propose(self, x: str, prefix: Sequence[str], beam_size: int) -> list[Candidate]:
         request = json.dumps({"x": x, "prefix": list(prefix), "beam_size": beam_size},
@@ -196,15 +201,28 @@ class SubprocessGenerator:
                 for c in entries]
 
     def close(self):
+        """End the generator's input and wait for it to exit; one still
+        running after EXIT_WAIT_S seconds is killed, and that is an error."""
         self.proc.stdin.close()
-        self.proc.wait(timeout=10)
-        self.proc.stdout.close()
+        try:
+            self.proc.wait(timeout=EXIT_WAIT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+            raise SqlPatchError(f"external generator still running {EXIT_WAIT_S} s after "
+                                "the end of its input; killed") from None
+        finally:
+            self.proc.stdout.close()
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        try:
+            self.close()
+        except SqlPatchError:
+            if exc_type is None:
+                raise  # else the error that ended the session is the one reported
 
 
 def serve_generator(generator: GeneratorAdapter, instream, outstream) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sqlite3
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,15 +127,16 @@ class SqliteBackend:
     """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite``.
 
     Holds one read-only connection per database, opened on first use, until
-    close(). Statements that would change what a later query sees (ATTACH,
-    DETACH, transaction control, savepoints, temporary objects, a PRAGMA
-    given a value) are refused as an ExecutionError, so every query runs as
-    it would on a fresh connection.
+    close() or until the backend is collected. Statements that would change
+    what a later query sees (ATTACH, DETACH, transaction control, savepoints,
+    temporary objects, a PRAGMA given a value) are refused as an
+    ExecutionError, so every query runs as it would on a fresh connection.
     """
 
     def __init__(self, db_dir):
         self.db_dir = Path(db_dir)
         self._conns: dict[str, sqlite3.Connection] = {}
+        weakref.finalize(self, _close_all, self._conns)
 
     def __enter__(self) -> "SqliteBackend":
         return self
@@ -143,8 +145,7 @@ class SqliteBackend:
         self.close()
 
     def close(self) -> None:
-        while self._conns:
-            self._conns.popitem()[1].close()
+        _close_all(self._conns)
 
     def _db_path(self, db_id: str) -> Path:
         base = self.db_dir / db_id
@@ -177,6 +178,11 @@ class SqliteBackend:
             return conn.execute(sql).fetchall()
         except sqlite3.Error as exc:
             raise ExecutionError(str(exc)) from None
+
+
+def _close_all(conns: dict[str, sqlite3.Connection]) -> None:
+    while conns:
+        conns.popitem()[1].close()
 
 
 _REFUSED = frozenset({

@@ -142,8 +142,6 @@ def _assemble(pairs):
             raise PyDictError(str(exc)) from None
     cm = ClauseMap()
     for key, value in pairs:
-        if key in cm:
-            raise PyDictError(f"duplicate key {key!r}")
         try:
             cm.set(key, value)
         except MapError as exc:

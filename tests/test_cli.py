@@ -457,6 +457,40 @@ def test_simulate_names_the_line_of_a_malformed_generator_response(
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_generator_that_cannot_start_is_a_domain_error(schema_flag, schemas):
+    proc = run_cli(["simulate", *schema_flag, "--generator-cmd", "no-such-generator"],
+                   stdin=json.dumps(_a_record(schemas)) + "\n")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot start external generator: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("response,error", [
+    ('{"candidates":[]}', "external generator still running "),
+    ("[1,2]", "line 1: external generator response: ")])
+def test_simulate_kills_a_generator_running_past_its_input(
+        tables_json_path, schemas, tmp_path, monkeypatch, capsys, response, error):
+    import os
+
+    from sqlpatch import interact
+    from sqlpatch.cli import main
+
+    monkeypatch.setattr(interact, "EXIT_WAIT_S", 0.2)
+    gen, pid_file, records = tmp_path / "gen.py", tmp_path / "pid", tmp_path / "records.jsonl"
+    gen.write_text("import os, sys, time\n"
+                   "open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+                   "for request in sys.stdin:\n"
+                   "    print(sys.argv[2], flush=True)\n"
+                   "time.sleep(60)\n", encoding="utf-8")
+    records.write_text(json.dumps(_a_record(schemas)) + "\n", encoding="utf-8")
+    status = main(["simulate", "--schema", str(tables_json_path), "--generator-cmd",
+                   f"{sys.executable} {gen} {pid_file} {response}", str(records)])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: " + error)
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
+
+
 def test_simulate_requires_schema_before_reading_input():
     proc = run_cli(["simulate"], stdin="not json\n")
     assert proc.returncode == 2

@@ -11,7 +11,7 @@ from sqlpatch.dataset import (
     dataset_stats, serialize_example, split_folds, synthesize_train,
 )
 from sqlpatch.editscript import parse_edits
-from sqlpatch.errors import BackendUnavailable, DatasetError, ExecutionError
+from sqlpatch.errors import BackendUnavailable, DatasetError, ExecutionError, SqlPatchError
 from sqlpatch.metrics import SqliteBackend
 from sqlpatch.parse import parse_sql
 from sqlpatch.program import parse_program
@@ -253,7 +253,26 @@ def test_pydict_record_decomposes_each_query_once(schemas, monkeypatch, edit_rep
         monkeypatch.setattr(module, "decompose",
                             lambda query, real=real: calls.append(query) or real(query))
     records = synthesize_train(build_mock_beams(), schemas, reps=[("pydict", edit_rep)])
-    assert records and len(calls) == 2 * len(records)
+    # each record's wrong query, and the gold of each question with a record
+    assert records and len(calls) == len(records) + len({(r.db_id, r.question)
+                                                         for r in records})
+
+
+def test_synthesis_renders_each_parsed_query_once(schemas, monkeypatch):
+    calls = []
+    real = dataset.render
+    monkeypatch.setattr(dataset, "render", lambda query: calls.append(query) or real(query))
+    outputs = build_mock_beams()
+    records = synthesize_train(outputs, schemas)
+    parsed = 0
+    for output in outputs:
+        for sql in (output.gold_sql, *(sql for sql, _ in output.beam)):
+            try:
+                parse_sql(sql, schemas[output.db_id])
+            except SqlPatchError:
+                continue
+            parsed += 1
+    assert records and len(calls) == parsed
 
 
 def test_token_rep_y_prefix(schemas):

@@ -1,12 +1,17 @@
 import json
+import signal
 import sys
 import textwrap
+
+import pytest
 
 from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS, CASES
 
 from sqlpatch.clausemap import decompose, sql_to_clause_map, to_sql
+from sqlpatch import interact
 from sqlpatch.dataset import ExampleRecord
 from sqlpatch.diffs import diff_program
+from sqlpatch.errors import SqlPatchError
 from sqlpatch.interact import (
     Candidate, OracleGenerator, SubprocessGenerator, execute_selected,
     gold_action_strings, simulate,
@@ -186,6 +191,20 @@ def test_subprocess_generator_wire_protocol(tmp_path, schemas):
         log = simulate(record, gold, generator, beam_size=3)
     assert log.fully_corrected
     assert log.result_sql == CASE_HR.gold
+
+
+def test_subprocess_generator_that_cannot_start_is_a_domain_error(tmp_path):
+    with pytest.raises(SqlPatchError, match="cannot start external generator"):
+        SubprocessGenerator([str(tmp_path / "no-such-generator")])
+
+
+def test_subprocess_generator_running_past_its_input_is_killed(monkeypatch):
+    monkeypatch.setattr(interact, "EXIT_WAIT_S", 0.2)
+    generator = SubprocessGenerator(
+        [sys.executable, "-c", "import sys, time; sys.stdin.read(); time.sleep(60)"])
+    with pytest.raises(SqlPatchError, match="still running"):
+        generator.close()
+    assert generator.proc.returncode == -signal.SIGKILL  # killed and reaped
 
 
 def test_serve_generator_round_trip(schemas):

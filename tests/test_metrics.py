@@ -187,6 +187,18 @@ def test_backend_is_read_only(db_dir):
     assert backend.execute("select count(*) from employee", "hr") == [(3,)]
 
 
+def test_backend_closes_its_connections_when_collected(db_dir, monkeypatch):
+    opened = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *a, **k: opened.append(connect(*a, **k)) or opened[-1])
+    backend = SqliteBackend(db_dir)
+    backend.execute("select 1", "hr")
+    del backend
+    with pytest.raises(sqlite3.ProgrammingError):
+        opened[0].execute("select 1")
+
+
 def test_backend_opens_one_connection_per_database(db_dir, monkeypatch):
     opened = []
     connect = sqlite3.connect
