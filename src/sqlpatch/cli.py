@@ -389,6 +389,8 @@ def _cmd_synth(args, parser) -> int:
         ds.representation(args.query_rep, args.edit_rep)
     except DatasetError as exc:
         parser.error(str(exc))
+    if args.program_only and args.edit_rep != "program":
+        parser.error("--program-only requires --edit-rep program")
     schemas = _load_schema(args, parser)
     with _open_backend(args) as backend:
         synth = partial(_synth_line, schemas=schemas, backend=backend, policy=args.policy,
@@ -434,6 +436,8 @@ def _cmd_stats(args, parser) -> int:
 def _cmd_simulate(args, parser) -> int:
     if args.generator == "noisy" and not args.generator_cmd and args.seed is None:
         parser.error("--seed is required for the noisy generator")
+    if args.generator_cmd is not None and not args.generator_cmd.split():
+        parser.error("--generator-cmd names no program")
     schemas = _load_schema(args, parser)
     external = SubprocessGenerator(args.generator_cmd.split()) if args.generator_cmd else None
     with external or nullcontext():

@@ -1,5 +1,9 @@
-"""Query normalization: alias resolution, column qualification, lowercasing.
+"""Query normalization: reference checking, alias resolution, column
+qualification, lowercasing.
 
+One walk checks every table and column against the schema and resolves it.
+An unknown table or column, or an undeclared qualifier, is a ParseError; a
+reference that names no single table occurrence is a NormalizeError.
 Aliases for tables that occur once in FROM are dropped and their references
 rewritten to the real table name; aliases on repeated tables (self-joins)
 are kept, since dropping them would lose which occurrence a column means.
@@ -11,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .errors import NormalizeError
+from .errors import NormalizeError, ParseError
 from .nodes import (
     BoolExpr, BoolOp, ColumnRef, ColUnit, Condition, FromClause, JoinedTable,
     Literal, OrderItem, Query, Select, SelectItem, SetOp, ValueList, ValUnit,
@@ -22,24 +26,19 @@ from .traverse import visible_tables
 
 def normalize(query: Query, schema: SchemaInfo) -> Query:
     fc = query.from_clause
-    if fc.subquery is not None:
-        sub = normalize(fc.subquery, schema)
-        scope = _SubqueryScope(sub, fc.subquery_alias, schema)
-        new_from = FromClause((), sub, None)
-    else:
-        scope = _TableScope(fc.tables, schema)
-        new_from = FromClause(
-            tuple(
-                JoinedTable(
-                    jt.table.lower(),
-                    scope.kept_alias(jt),
-                    tuple(_norm_cond(c, scope, schema) for c in jt.conds),
-                )
-                for jt in fc.tables
-            ),
-            None,
-        )
-
+    sub = normalize(fc.subquery, schema) if fc.subquery is not None else None
+    scope = _Scope(fc, sub, schema)
+    new_from = FromClause(
+        tuple(
+            JoinedTable(
+                jt.table.lower(),
+                scope.kept_alias(jt),
+                tuple(_norm_cond(c, scope) for c in jt.conds),
+            )
+            for jt in fc.tables
+        ),
+        sub,
+    )
     select = Select(
         query.select.distinct,
         tuple(
@@ -47,9 +46,9 @@ def normalize(query: Query, schema: SchemaInfo) -> Query:
             for item in query.select.items
         ),
     )
-    where = _norm_bool(query.where, scope, schema)
+    where = _norm_bool(query.where, scope)
     group_by = tuple(scope.resolve(c) for c in query.group_by)
-    having = _norm_bool(query.having, scope, schema)
+    having = _norm_bool(query.having, scope)
     order_by = tuple(OrderItem(_norm_val(i.val, scope), i.direction) for i in query.order_by)
     set_op = None
     if query.set_op is not None:
@@ -57,22 +56,42 @@ def normalize(query: Query, schema: SchemaInfo) -> Query:
     return Query(select, new_from, where, group_by, having, order_by, query.limit, set_op)
 
 
-class _TableScope:
-    def __init__(self, tables: tuple[JoinedTable, ...], schema: SchemaInfo):
+class _Scope:
+    """The tables one query's column references resolve against.
+
+    ``tables`` holds the distinct FROM tables in FROM order, or, for a FROM
+    subquery, the tables visible inside it. ``quals`` maps each declared
+    qualifier (a table name or an alias) to the tables it can mean; a FROM
+    subquery's alias means all of them, and is dropped. ``kept`` holds the
+    aliases of repeated tables, which stay in the output.
+    """
+
+    def __init__(self, fc: FromClause, sub: Optional[Query], schema: SchemaInfo):
         self.schema = schema
-        self.counts = Counter(jt.table.lower() for jt in tables)
-        self.alias_to_table: dict[str, str] = {}
+        if sub is None:
+            names = [jt.table.lower() for jt in fc.tables]
+            for name in names:
+                if not schema.has_table(name):
+                    raise ParseError(f"unknown table {name!r} in schema {schema.db_id!r}")
+        else:
+            names = sorted(visible_tables(sub))
+        self.counts = counts = Counter(names)
+        self.tables = list(counts)
+        self.quals = {t: (t,) for t in self.tables}
         self.kept: set[str] = set()
-        for jt in tables:
-            table = jt.table.lower()
+        aliases: set[str] = set()
+        for jt, table in zip(fc.tables, names):
             if jt.alias:
                 alias = jt.alias.lower()
-                if alias in self.alias_to_table:
+                if alias in aliases:
                     raise NormalizeError(f"alias {alias!r} declared more than once")
-                self.alias_to_table[alias] = table
-                if self.counts[table] > 1:
+                aliases.add(alias)
+                self.quals[alias] = (table,)
+                if counts[table] > 1:
                     self.kept.add(alias)
-        self.tables = [jt.table.lower() for jt in tables]
+        self.sub_alias = fc.subquery_alias.lower() if fc.subquery_alias else None
+        if self.sub_alias:
+            self.quals[self.sub_alias] = tuple(self.tables)
 
     def kept_alias(self, jt: JoinedTable) -> Optional[str]:
         if jt.alias and jt.alias.lower() in self.kept:
@@ -81,81 +100,67 @@ class _TableScope:
 
     def resolve(self, col: ColumnRef) -> ColumnRef:
         column = col.column.lower()
-        if col.table:
-            qual = col.table.lower()
-            if qual in self.alias_to_table and qual not in self.kept:
-                qual = self.alias_to_table[qual]
-            return ColumnRef(qual, column)
-        if column == "*":
-            return ColumnRef(None, "*")
-        owners = [t for t in dict.fromkeys(self.tables)
-                  if self.schema.has_column(t, column)]
-        if len(owners) > 1:
-            raise NormalizeError(
-                f"column {column!r} is ambiguous across tables {owners}")
-        if not owners:
-            raise NormalizeError(f"column {column!r} not found in FROM tables")
-        owner = owners[0]
-        if self.counts[owner] > 1:
-            raise NormalizeError(
-                f"column {column!r} of repeated table {owner!r} must be alias-qualified")
-        return ColumnRef(owner, column)
+        if not col.table:
+            if column == "*":
+                return ColumnRef(None, "*")
+            owner = self._owner(column, self.tables, qualified=False)
+            if self.counts[owner] > 1:
+                raise NormalizeError(
+                    f"column {column!r} of repeated table {owner!r} must be alias-qualified")
+            return ColumnRef(owner, column)
+        qual = col.table.lower()
+        tables = self.quals.get(qual)
+        if tables is None:
+            what = "qualifying '*'" if column == "*" else f"for column {column!r}"
+            raise ParseError(f"unknown table {qual!r} {what}")
+        if column != "*":
+            owner = self._owner(column, tables, qualified=True)
+        elif qual == self.sub_alias:
+            raise NormalizeError("column '*' not found in subquery scope")
+        else:
+            owner = tables[0]
+        return ColumnRef(qual if qual in self.kept else owner, column)
+
+    def _owner(self, column: str, tables, qualified: bool) -> str:
+        owners = [t for t in tables if self.schema.has_column(t, column)]
+        if len(owners) == 1:
+            return owners[0]
+        if owners:
+            raise NormalizeError(f"column {column!r} is ambiguous across tables {owners}")
+        where = f" in {sorted(tables)}" if qualified else ""
+        raise ParseError(f"unknown column {column!r}{where}")
 
 
-class _SubqueryScope:
-    """Resolution against a FROM (subquery) source: columns belong to the
-    tables visible inside the subquery; the subquery alias is dropped."""
-
-    def __init__(self, sub: Query, alias: Optional[str], schema: SchemaInfo):
-        self.schema = schema
-        self.alias = alias.lower() if alias else None
-        self.visible = sorted(visible_tables(sub))
-
-    def resolve(self, col: ColumnRef) -> ColumnRef:
-        column = col.column.lower()
-        if column == "*" and not col.table:
-            return ColumnRef(None, "*")
-        if col.table and col.table.lower() != self.alias:
-            return ColumnRef(col.table.lower(), column)
-        owners = [t for t in self.visible if self.schema.has_column(t, column)]
-        if len(owners) > 1:
-            raise NormalizeError(
-                f"column {column!r} is ambiguous across tables {owners}")
-        if not owners:
-            raise NormalizeError(f"column {column!r} not found in subquery scope")
-        return ColumnRef(owners[0], column)
-
-
-def _norm_val(val: ValUnit, scope) -> ValUnit:
+def _norm_val(val: ValUnit, scope: _Scope) -> ValUnit:
     left = _norm_unit(val.left, scope)
     right = _norm_unit(val.right, scope) if val.right is not None else None
     return ValUnit(val.op, left, right)
 
 
-def _norm_unit(unit: ColUnit, scope) -> ColUnit:
+def _norm_unit(unit: ColUnit, scope: _Scope) -> ColUnit:
     return ColUnit(unit.agg, unit.distinct, scope.resolve(unit.col))
 
 
-def _norm_bool(expr: Optional[BoolExpr], scope, schema: SchemaInfo) -> Optional[BoolExpr]:
+def _norm_bool(expr: Optional[BoolExpr], scope: _Scope) -> Optional[BoolExpr]:
     if expr is None:
         return None
     if isinstance(expr, BoolOp):
-        return BoolOp(expr.op, tuple(_norm_bool(a, scope, schema) for a in expr.args))
-    return _norm_cond(expr, scope, schema)
+        return BoolOp(expr.op, tuple(_norm_bool(a, scope) for a in expr.args))
+    return _norm_cond(expr, scope)
 
 
-def _norm_cond(cond: Condition, scope, schema: SchemaInfo) -> Condition:
+def _norm_cond(cond: Condition, scope: _Scope) -> Condition:
     return Condition(
         _norm_val(cond.left, scope),
         cond.op,
-        _norm_operand(cond.right, scope, schema),
-        _norm_operand(cond.right2, scope, schema) if cond.right2 is not None else None,
+        _norm_operand(cond.right, scope),
+        _norm_operand(cond.right2, scope) if cond.right2 is not None else None,
     )
 
 
-def _norm_operand(operand, scope, schema: SchemaInfo):
+def _norm_operand(operand, scope: _Scope):
     if isinstance(operand, Query):
-        return normalize(operand, schema)
+        return normalize(operand, scope.schema)
     if isinstance(operand, ColUnit):
         return _norm_unit(operand, scope)
     if isinstance(operand, (Literal, ValueList)):

@@ -1,9 +1,9 @@
 """Recursive-descent parser for the Spider SQL subset.
 
 Covers SELECT/FROM/WHERE/GROUP BY/HAVING/ORDER BY/LIMIT, joins, set
-operations, and nested subqueries in WHERE, HAVING, and FROM. Table and
-column references are checked against the schema; alias resolution and
-qualification happen later in :mod:`sqlpatch.normalize`.
+operations, and nested subqueries in WHERE, HAVING, and FROM. The parsed
+query is handed to :func:`sqlpatch.normalize.normalize`, which checks every
+table and column reference against the schema while it resolves aliases.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from .nodes import (
     BoolOp, ColumnRef, ColUnit, Condition, FromClause, JoinedTable, Literal,
     OrderItem, Query, Select, SelectItem, SetOp, ValueList, ValUnit,
 )
+from .normalize import normalize
 from .schema import SchemaInfo
 from .tokens import AGGREGATORS, ARITH_OPS, COMPARE_OPS, Token, tokenize
-from .traverse import iter_child_queries, iter_own_colunits, visible_tables
 
 _SET_OPS = ("intersect", "union", "except")
 
@@ -66,22 +66,19 @@ class _Cursor:
 
 
 def parse(tokens: list[Token], schema: SchemaInfo) -> Query:
-    """Parse a token list into a Query AST and check references against schema."""
+    """Parse a token list into a normalized, schema-checked Query AST."""
     cur = _Cursor(tokens)
     query = _query(cur)
     while cur.accept(";"):
         pass
     if cur.peek() is not None:
         cur.error(f"unexpected token {cur.peek_text()!r}")
-    _check_refs(query, schema)
-    return query
+    return normalize(query, schema)
 
 
 def parse_sql(sql: str, schema: SchemaInfo) -> Query:
-    """Convenience wrapper: tokenize, parse, and normalize one query."""
-    from .normalize import normalize
-
-    return normalize(parse(tokenize(sql), schema), schema)
+    """Convenience wrapper: tokenize and parse one query."""
+    return parse(tokenize(sql), schema)
 
 
 def _query(cur: _Cursor) -> Query:
@@ -322,45 +319,3 @@ def _literal(cur: _Cursor) -> Literal:
     cur.next()
     kind = "number" if tok.kind == "number-literal" else "string"
     return Literal(kind, tok.text)
-
-
-# ---------------------------------------------------------------------------
-# Reference checking
-
-
-def _check_refs(query: Query, schema: SchemaInfo) -> None:
-    fc = query.from_clause
-    # alias -> candidate tables; a duplicated alias keeps all candidates here
-    # and is reported as a collision later, by normalization
-    alias_map: dict[str, set[str]] = {}
-    if fc.subquery is None:
-        for jt in fc.tables:
-            if not schema.has_table(jt.table):
-                raise ParseError(f"unknown table {jt.table!r} in schema {schema.db_id!r}")
-            if jt.alias:
-                alias_map.setdefault(jt.alias, set()).add(jt.table)
-    visible = sorted(visible_tables(query))
-    sub_alias = fc.subquery_alias
-
-    for unit in iter_own_colunits(query):
-        col = unit.col
-        if col.column == "*":
-            if col.table and col.table not in alias_map and col.table not in visible \
-                    and col.table != sub_alias:
-                raise ParseError(f"unknown table {col.table!r} qualifying '*'")
-            continue
-        if col.table:
-            targets = alias_map.get(col.table, {col.table})
-            if col.table == sub_alias:
-                targets = set(visible)
-            elif col.table not in alias_map and col.table not in visible:
-                raise ParseError(f"unknown table {col.table!r} for column {col.column!r}")
-            if not any(schema.has_column(t, col.column) for t in targets):
-                raise ParseError(
-                    f"unknown column {col.column!r} in {sorted(targets)}")
-        else:
-            if not any(schema.has_column(t, col.column) for t in visible):
-                raise ParseError(f"unknown column {col.column!r}")
-
-    for child in iter_child_queries(query):
-        _check_refs(child, schema)

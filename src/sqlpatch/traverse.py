@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .nodes import BoolExpr, ColUnit, Condition, Query, ValUnit
+from .nodes import BoolExpr, Condition, Query
 
 
 def iter_conditions(expr: Optional[BoolExpr]) -> Iterator[Condition]:
@@ -15,35 +15,6 @@ def iter_conditions(expr: Optional[BoolExpr]) -> Iterator[Condition]:
         return
     for arg in expr.args:
         yield from iter_conditions(arg)
-
-
-def iter_own_colunits(query: Query) -> Iterator[ColUnit]:
-    """Column units referenced directly by this query (not by subqueries)."""
-    for item in query.select.items:
-        yield from _valunit_units(item.val)
-    for jt in query.from_clause.tables:
-        for cond in jt.conds:
-            yield from _condition_units(cond)
-    for expr in (query.where, query.having):
-        for cond in iter_conditions(expr):
-            yield from _condition_units(cond)
-    for col in query.group_by:
-        yield ColUnit(None, False, col)
-    for item in query.order_by:
-        yield from _valunit_units(item.val)
-
-
-def _valunit_units(val: ValUnit) -> Iterator[ColUnit]:
-    yield val.left
-    if val.right is not None:
-        yield val.right
-
-
-def _condition_units(cond: Condition) -> Iterator[ColUnit]:
-    yield from _valunit_units(cond.left)
-    for operand in (cond.right, cond.right2):
-        if isinstance(operand, ColUnit):
-            yield operand
 
 
 def iter_child_queries(query: Query) -> Iterator[Query]:

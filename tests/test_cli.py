@@ -497,6 +497,14 @@ def test_simulate_requires_schema_before_reading_input():
     assert "--schema is required" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["", " "])
+def test_simulate_generator_command_without_words_is_a_usage_error(schema_flag, command):
+    proc = run_cli(["simulate", *schema_flag, "--generator-cmd", command], stdin="")
+    assert proc.returncode == 2
+    assert "--generator-cmd names no program" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_noisy_requires_seed(schema_flag):
     proc = run_cli(["simulate", *schema_flag, "--generator", "noisy"], stdin="")
     assert proc.returncode == 2
@@ -525,6 +533,13 @@ def test_synth_rejects_inconsistent_reps(schema_flag, query_rep, edit_rep, valid
                     "--query-rep", query_rep, "--edit-rep", edit_rep], stdin="")
     assert proc.returncode == 2
     assert f"{edit_rep} edits require the {valid} query representation" in proc.stderr
+
+
+def test_synth_program_only_needs_program_edits_before_input(schema_flag):
+    proc = run_cli(["synth", *schema_flag, "--program-only",
+                    "--query-rep", "pydict", "--edit-rep", "clause"], stdin="")
+    assert proc.returncode == 2
+    assert "--program-only requires --edit-rep program" in proc.stderr
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,10 +1,15 @@
-import pytest
+import random
+import re
+from collections import Counter
 
-from sqlpatch.errors import ParseError
+import pytest
+from queryfuzz import QueryFuzzer
+
+from sqlpatch.errors import NormalizeError, ParseError
 from sqlpatch.nodes import BoolOp, Condition, Query
 from sqlpatch.parse import parse, parse_sql
 from sqlpatch.render import render
-from sqlpatch.tokens import tokenize
+from sqlpatch.tokens import detokenize, tokenize
 
 
 def test_simple_order_by(schemas):
@@ -40,6 +45,51 @@ def test_unknown_column(schemas):
         parse(tokenize("select tweets.nope from tweets"), schemas["social"])
     with pytest.raises(ParseError, match="unknown column"):
         parse(tokenize("select nope from tweets"), schemas["social"])
+
+
+@pytest.mark.parametrize("db,sql,message", [
+    ("social", "select x.id from tweets", "unknown table 'x' for column 'id'"),
+    ("social", "select x.* from tweets", "unknown table 'x' qualifying '*'"),
+    ("hr", "select employee.name from (select evaluation.bonus from evaluation) as t",
+     "unknown table 'employee' for column 'name'"),
+    ("hr", "select employee.name from employee join evaluation on "
+     "employee.employee_id = x.employee_id", "unknown table 'x' for column 'employee_id'"),
+    ("hr", "select employee.name from employee join evaluation on "
+     "employee.employee_id in (select nope.id from nope)", "unknown table 'nope' in schema"),
+    ("social", "select tweets.id from tweets where tweets.uid in "
+     "(select x.uid from tweets)", "unknown table 'x' for column 'uid'"),
+    ("social", "select tweets.id from tweets union select x.id from tweets",
+     "unknown table 'x' for column 'id'"),
+])
+def test_unknown_table_in_every_scope(schemas, db, sql, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        parse(tokenize(sql), schemas[db])
+
+
+@pytest.mark.parametrize("db,sql,message", [
+    ("social", "select t.nope from tweets as t", "unknown column 'nope' in ['tweets']"),
+    ("cars", "select t.nope from (select cars_data.mpg from cars_data) as t",
+     "unknown column 'nope' in ['cars_data']"),
+    ("cars", "select nope from (select cars_data.mpg from cars_data) as t",
+     "unknown column 'nope'"),
+    ("hr", "select employee.name from employee join evaluation on "
+     "employee.employee_id = evaluation.nope", "unknown column 'nope' in ['evaluation']"),
+    ("hr", "select employee.name from employee join evaluation on "
+     "employee.employee_id in (select evaluation.nope from evaluation)",
+     "unknown column 'nope' in ['evaluation']"),
+    ("social", "select tweets.id from tweets where tweets.uid in "
+     "(select tweets.nope from tweets)", "unknown column 'nope' in ['tweets']"),
+    ("social", "select tweets.id from tweets except select nope from tweets",
+     "unknown column 'nope'"),
+])
+def test_unknown_column_in_every_scope(schemas, db, sql, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(tokenize(sql), schemas[db])
+
+
+def test_parse_returns_the_normalized_query(schemas):
+    q = parse(tokenize("SELECT T1.text FROM tweets AS T1"), schemas["social"])
+    assert render(q) == "select tweets.text from tweets"
 
 
 def test_join_with_on(schemas):
@@ -106,3 +156,43 @@ def test_trailing_semicolon_ok(schemas):
 def test_trailing_junk_rejected(schemas):
     with pytest.raises(ParseError):
         parse(tokenize("select tweets.id from tweets tweets"), schemas["social"])
+
+
+def _mutant(rng, schema, word):
+    """A reference that may not resolve, in place of the identifier ``word``."""
+    qual, dot, column = word.rpartition(".")
+    kind = rng.randrange(4)
+    if kind == 0:
+        return f"{qual}.nope" if dot else "nope"
+    if kind == 1:
+        table = rng.choice(schema.tables)
+        other = rng.choice(schema.columns[table])
+        return f"{table}.{other}" if rng.random() < 0.5 else other
+    if kind == 2:
+        return f"t3.{column}"
+    return "x.*"
+
+
+def test_reference_mutations_round_trip_or_raise_domain_errors(schemas):
+    """A fuzzed query with one identifier replaced by a bogus column, another
+    table's column, an undeclared qualifier or ``x.*`` either parses to a
+    query whose canonical text parses back to it, or raises ParseError or
+    NormalizeError; no other exception escapes."""
+    fuzzer, rng = QueryFuzzer(schemas, seed=1212), random.Random(1212)
+    outcomes = Counter()
+    for _ in range(1_500):
+        db_id, query = fuzzer.query()
+        schema = schemas[db_id]
+        tokens = tokenize(render(query))
+        words = [t.text for t in tokens]
+        i = rng.choice([i for i, t in enumerate(tokens) if t.kind == "identifier"])
+        words[i] = _mutant(rng, schema, words[i])
+        text = detokenize(words)
+        try:
+            mutated = parse_sql(text, schema)
+        except (ParseError, NormalizeError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert parse_sql(render(mutated), schema) == mutated, text
+        outcomes["parsed"] += 1
+    assert set(outcomes) == {"parsed", "ParseError", "NormalizeError"}, outcomes
