@@ -1,7 +1,7 @@
-"""Immutable AST nodes for the Spider SQL subset.
+"""AST nodes for the Spider SQL subset.
 
-All nodes are frozen dataclasses, so structural equality and hashing come
-for free and every transformation builds new values.
+Nodes are slotted dataclasses with structural equality and no hash. No code
+mutates one; every transformation builds new values (tests/test_nodes.py).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ColumnRef:
     table: Optional[str]  # real table name or retained alias; None before qualification
     column: str           # may be "*"
@@ -21,7 +21,7 @@ class ColumnRef:
         return self.column
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ColUnit:
     """A column possibly wrapped in one aggregate: ``agg(distinct col)``."""
     agg: Optional[str]
@@ -29,7 +29,7 @@ class ColUnit:
     col: ColumnRef
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ValUnit:
     """A column unit or a binary arithmetic expression over two of them."""
     op: Optional[str]  # one of + - * /
@@ -37,7 +37,7 @@ class ValUnit:
     right: Optional[ColUnit] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelectItem:
     """One select-list entry; ``agg`` is only set for an aggregate over arithmetic."""
     agg: Optional[str]
@@ -45,13 +45,13 @@ class SelectItem:
     val: ValUnit
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Select:
     distinct: bool
     items: tuple[SelectItem, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Literal:
     kind: str  # number | string
     text: str  # verbatim token text (strings keep their quotes)
@@ -62,7 +62,7 @@ class Literal:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ValueList:
     items: tuple[Literal, ...]
 
@@ -71,7 +71,7 @@ class ValueList:
 Operand = Union[Literal, ColUnit, ValueList, "Query"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Condition:
     left: ValUnit
     op: str  # = != < > <= >= between like "not like" in "not in"
@@ -79,7 +79,7 @@ class Condition:
     right2: Optional[Operand] = None  # upper bound for between
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoolOp:
     op: str  # and | or
     args: tuple["BoolExpr", ...]
@@ -88,33 +88,33 @@ class BoolOp:
 BoolExpr = Union[Condition, BoolOp]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JoinedTable:
     table: str
     alias: Optional[str] = None
     conds: tuple[Condition, ...] = ()  # ON conditions; empty for the first table
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FromClause:
     tables: tuple[JoinedTable, ...] = ()
     subquery: Optional["Query"] = None  # alternative source: FROM (subquery)
     subquery_alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OrderItem:
     val: ValUnit
     direction: str = "asc"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetOp:
     kind: str  # intersect | union | except
     right: "Query"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Query:
     select: Select
     from_clause: FromClause

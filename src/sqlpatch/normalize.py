@@ -116,7 +116,7 @@ class _Scope:
         if column != "*":
             owner = self._owner(column, tables, qualified=True)
         elif qual == self.sub_alias:
-            raise NormalizeError("column '*' not found in subquery scope")
+            return ColumnRef(None, "*")  # the alias is dropped, as for t.col
         else:
             owner = tables[0]
         return ColumnRef(qual if qual in self.kept else owner, column)

@@ -4,6 +4,7 @@ Covers SELECT/FROM/WHERE/GROUP BY/HAVING/ORDER BY/LIMIT, joins, set
 operations, and nested subqueries in WHERE, HAVING, and FROM. The parsed
 query is handed to :func:`sqlpatch.normalize.normalize`, which checks every
 table and column reference against the schema while it resolves aliases.
+Each lookahead is an index into the cursor's lists of token texts and kinds.
 """
 
 from __future__ import annotations
@@ -20,46 +21,38 @@ from .schema import SchemaInfo
 from .tokens import AGGREGATORS, ARITH_OPS, COMPARE_OPS, Token, tokenize
 
 _SET_OPS = ("intersect", "union", "except")
+_END = "end of input"  # no token has this text: only string literals hold a space
 
 
 class _Cursor:
+    """The token stream as parallel lists of texts and kinds. Each list ends
+    in two sentinels, so a lookahead of up to one token past the current one
+    is a plain index. The sentinel text is what error messages show at the
+    end, and the sentinel kind is None."""
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.texts = [t.text for t in tokens] + [_END, _END]
+        self.kinds = [t.kind for t in tokens] + [None, None]
+        self.n = len(tokens)
         self.i = 0
 
     @property
     def position(self) -> int:
         """1-based position of the current token (for error messages)."""
-        return min(self.i, len(self.tokens) - 1) + 1 if self.tokens else 1
-
-    def peek(self, off: int = 0) -> Optional[Token]:
-        j = self.i + off
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def peek_text(self, off: int = 0) -> Optional[str]:
-        tok = self.peek(off)
-        return tok.text if tok else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", position=len(self.tokens) + 1)
-        self.i += 1
-        return tok
+        return min(self.i, self.n - 1) + 1 if self.n else 1
 
     def accept(self, text: str) -> bool:
-        if self.peek_text() == text:
+        if self.texts[self.i] == text:
             self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
-            got = tok.text if tok else "end of input"
+    def expect(self, text: str) -> None:
+        got = self.texts[self.i]
+        if got != text:
             raise ParseError(f"expected {text!r}, got {got!r} at token {self.position}",
                              position=self.position)
-        return self.next()
+        self.i += 1
 
     def error(self, message: str):
         raise ParseError(f"{message} at token {self.position}", position=self.position)
@@ -71,8 +64,8 @@ def parse(tokens: list[Token], schema: SchemaInfo) -> Query:
     query = _query(cur)
     while cur.accept(";"):
         pass
-    if cur.peek() is not None:
-        cur.error(f"unexpected token {cur.peek_text()!r}")
+    if cur.i < cur.n:
+        cur.error(f"unexpected token {cur.texts[cur.i]!r}")
     return normalize(query, schema)
 
 
@@ -98,17 +91,18 @@ def _query(cur: _Cursor) -> Query:
         order_by = _order_items(cur)
     limit = None
     if cur.accept("limit"):
-        tok = cur.peek()
-        if tok is None or tok.kind != "number-literal":
+        if cur.kinds[cur.i] != "number-literal":
             cur.error("expected integer after limit")
-        cur.next()
+        text = cur.texts[cur.i]
+        cur.i += 1
         try:
-            limit = int(tok.text)
+            limit = int(text)
         except ValueError:
-            cur.error(f"limit must be a non-negative integer, got {tok.text!r}")
+            cur.error(f"limit must be a non-negative integer, got {text!r}")
     set_op = None
-    if cur.peek_text() in _SET_OPS:
-        kind = cur.next().text
+    kind = cur.texts[cur.i]
+    if kind in _SET_OPS:
+        cur.i += 1
         set_op = SetOp(kind, _query(cur))
     return Query(select, from_clause, where, group_by, having, order_by, limit, set_op)
 
@@ -123,9 +117,9 @@ def _select(cur: _Cursor) -> Select:
 
 
 def _select_item(cur: _Cursor) -> SelectItem:
-    if cur.peek_text() in AGGREGATORS and cur.peek_text(1) == "(":
-        agg = cur.next().text
-        cur.expect("(")
+    agg = cur.texts[cur.i]
+    if agg in AGGREGATORS and cur.texts[cur.i + 1] == "(":
+        cur.i += 2
         distinct = cur.accept("distinct")
         val = _val_unit(cur)
         cur.expect(")")
@@ -142,9 +136,9 @@ def _select_item(cur: _Cursor) -> SelectItem:
 
 
 def _col_unit(cur: _Cursor) -> ColUnit:
-    if cur.peek_text() in AGGREGATORS and cur.peek_text(1) == "(":
-        agg = cur.next().text
-        cur.expect("(")
+    agg = cur.texts[cur.i]
+    if agg in AGGREGATORS and cur.texts[cur.i + 1] == "(":
+        cur.i += 2
         distinct = cur.accept("distinct")
         col = _column(cur)
         cur.expect(")")
@@ -154,20 +148,18 @@ def _col_unit(cur: _Cursor) -> ColUnit:
 
 def _val_unit(cur: _Cursor) -> ValUnit:
     left = _col_unit(cur)
-    if cur.peek_text() in ARITH_OPS:
-        op = cur.next().text
-        right = _col_unit(cur)
-        return ValUnit(op, left, right)
+    op = cur.texts[cur.i]
+    if op in ARITH_OPS:
+        cur.i += 1
+        return ValUnit(op, left, _col_unit(cur))
     return ValUnit(None, left, None)
 
 
 def _column(cur: _Cursor) -> ColumnRef:
-    tok = cur.peek()
-    if tok is None or tok.kind not in ("identifier", "star"):
-        got = tok.text if tok else "end of input"
-        cur.error(f"expected column reference, got {got!r}")
-    cur.next()
-    text = tok.text
+    text = cur.texts[cur.i]
+    if cur.kinds[cur.i] not in ("identifier", "star"):
+        cur.error(f"expected column reference, got {text!r}")
+    cur.i += 1
     if text == "*":
         return ColumnRef(None, "*")
     if text.endswith(".*"):
@@ -191,9 +183,11 @@ def _order_items(cur: _Cursor) -> tuple[OrderItem, ...]:
     items = []
     while True:
         val = _val_unit(cur)
-        direction = "asc"
-        if cur.peek_text() in ("asc", "desc"):
-            direction = cur.next().text
+        direction = cur.texts[cur.i]
+        if direction in ("asc", "desc"):
+            cur.i += 1
+        else:
+            direction = "asc"
         items.append(OrderItem(val, direction))
         if not cur.accept(","):
             return tuple(items)
@@ -201,8 +195,8 @@ def _order_items(cur: _Cursor) -> tuple[OrderItem, ...]:
 
 def _from(cur: _Cursor) -> FromClause:
     cur.expect("from")
-    if cur.peek_text() == "(" and cur.peek_text(1) == "select":
-        cur.expect("(")
+    if cur.texts[cur.i] == "(" and cur.texts[cur.i + 1] == "select":
+        cur.i += 1
         sub = _query(cur)
         cur.expect(")")
         alias = None
@@ -226,12 +220,11 @@ def _from(cur: _Cursor) -> FromClause:
 
 
 def _identifier(cur: _Cursor, what: str) -> str:
-    tok = cur.peek()
-    if tok is None or tok.kind != "identifier" or "." in tok.text:
-        got = tok.text if tok else "end of input"
-        cur.error(f"expected {what}, got {got!r}")
-    cur.next()
-    return tok.text
+    text = cur.texts[cur.i]
+    if cur.kinds[cur.i] != "identifier" or "." in text:
+        cur.error(f"expected {what}, got {text!r}")
+    cur.i += 1
+    return text
 
 
 def _maybe_alias(cur: _Cursor) -> Optional[str]:
@@ -262,22 +255,21 @@ def _and_expr(cur: _Cursor):
 def _condition(cur: _Cursor) -> Condition:
     left = _val_unit(cur)
     negated = cur.accept("not")
-    tok = cur.peek()
-    if tok is None:
+    if cur.kinds[cur.i] is None:
         cur.error("expected comparison operator")
-    op = tok.text
+    op = cur.texts[cur.i]
     if negated and op not in ("in", "like"):
         cur.error(f"'not' must be followed by 'in' or 'like', got {op!r}")
     if op == "between":
-        cur.next()
+        cur.i += 1
         low = _operand(cur)
         cur.expect("and")
         high = _operand(cur)
         return Condition(left, "between", low, high)
     if op == "in":
-        cur.next()
+        cur.i += 1
         cur.expect("(")
-        if cur.peek_text() == "select":
+        if cur.texts[cur.i] == "select":
             sub = _query(cur)
             cur.expect(")")
             return Condition(left, "not in" if negated else "in", sub)
@@ -287,35 +279,33 @@ def _condition(cur: _Cursor) -> Condition:
         cur.expect(")")
         return Condition(left, "not in" if negated else "in", ValueList(tuple(values)))
     if op == "like":
-        cur.next()
+        cur.i += 1
         return Condition(left, "not like" if negated else "like", _operand(cur))
     if op in COMPARE_OPS:
-        cur.next()
+        cur.i += 1
         return Condition(left, op, _operand(cur))
     cur.error(f"expected comparison operator, got {op!r}")
 
 
 def _operand(cur: _Cursor):
-    tok = cur.peek()
-    if tok is None:
+    text, kind = cur.texts[cur.i], cur.kinds[cur.i]
+    if kind is None:
         cur.error("expected operand")
-    if tok.text == "(" and cur.peek_text(1) == "select":
-        cur.expect("(")
+    if text == "(" and cur.texts[cur.i + 1] == "select":
+        cur.i += 1
         sub = _query(cur)
         cur.expect(")")
         return sub
-    if tok.kind in ("number-literal", "string-literal"):
+    if kind in ("number-literal", "string-literal"):
         return _literal(cur)
-    if tok.kind in ("identifier", "star") or (tok.text in AGGREGATORS and cur.peek_text(1) == "("):
+    if kind in ("identifier", "star") or (text in AGGREGATORS and cur.texts[cur.i + 1] == "("):
         return _col_unit(cur)
-    cur.error(f"expected operand, got {tok.text!r}")
+    cur.error(f"expected operand, got {text!r}")
 
 
 def _literal(cur: _Cursor) -> Literal:
-    tok = cur.peek()
-    if tok is None or tok.kind not in ("number-literal", "string-literal"):
-        got = tok.text if tok else "end of input"
-        cur.error(f"expected literal value, got {got!r}")
-    cur.next()
-    kind = "number" if tok.kind == "number-literal" else "string"
-    return Literal(kind, tok.text)
+    text, kind = cur.texts[cur.i], cur.kinds[cur.i]
+    if kind not in ("number-literal", "string-literal"):
+        cur.error(f"expected literal value, got {text!r}")
+    cur.i += 1
+    return Literal("number" if kind == "number-literal" else "string", text)

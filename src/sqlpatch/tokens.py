@@ -2,12 +2,13 @@
 
 Non-value tokens come out lowercased; string literals keep their original
 quoting and character case so values survive normalization untouched.
+A Token is an immutable named tuple, so shared instances are safe.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TokenizeError
 
@@ -26,12 +27,14 @@ KEYWORDS = frozenset(
 COMPARE_OPS = ("=", "!=", "<=", ">=", "<", ">")
 ARITH_OPS = ("+", "-", "*", "/")
 
-_NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
 # One alternative per token class; "bad" catches any other character, so
-# consecutive matches cover the whole input.
+# consecutive matches cover the whole input. A word that starts like a number
+# (a digit, or "." and a digit) but is not a plain number is a "malformed" one.
 _TOKEN_RE = re.compile(r"""
     (?P<space>\s+)
   | (?P<literal>'[^']*'|"[^"]*")
+  | (?P<number>[0-9]+(?:\.[0-9]+)?(?![A-Za-z0-9_.]))
+  | (?P<malformed>\.?[0-9][A-Za-z0-9_.]*(?:(?<=\.)\*)?)
   | (?P<word>[A-Za-z0-9_.]+(?:(?<=\.)\*)?)
   | (?P<operator><=|>=|!=|<>|[=<>+\-/])
   | (?P<star>\*)
@@ -40,8 +43,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: str  # keyword | identifier | number-literal | string-literal | operator | punctuation | star
 
@@ -55,15 +57,6 @@ _SHARED = {
     "*": Token("*", "star"),
     **{text: Token(text, "punctuation") for text in "(),;"},
 }
-
-
-def _classify_word(text: str) -> Token:
-    """The token of a lowercased word that is not a keyword."""
-    if _NUMBER_RE.match(text):
-        return Token(text, "number-literal")
-    if text.endswith(".*"):
-        return Token(text, "star")
-    return Token(text, "identifier")
 
 
 def tokenize(sql: str) -> list[Token]:
@@ -83,9 +76,14 @@ def tokenize(sql: str) -> list[Token]:
         text = match.group()
         if group == "word":
             word = text.lower()
-            tokens.append(_SHARED.get(word) or _classify_word(word))
+            tokens.append(_SHARED.get(word)
+                          or Token(word, "star" if word.endswith(".*") else "identifier"))
         elif group == "literal":
             tokens.append(Token(text, "string-literal"))
+        elif group == "number":
+            tokens.append(Token(text, "number-literal"))
+        elif group == "malformed":
+            raise TokenizeError(f"malformed number literal {text!r} at offset {match.start()}")
         elif group == "bad":
             i = match.start()
             if text in "'\"":

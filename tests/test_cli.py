@@ -28,6 +28,13 @@ def test_normalize(schema_flag):
     assert proc.stdout.strip() == "select tweets.text from tweets"
 
 
+def test_normalize_names_a_malformed_number(schema_flag):
+    proc = run_cli(["normalize", *schema_flag, "--db-id", "cars"],
+                   stdin="select cars_data.id from cars_data where cars_data.mpg > 1.5E3")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: malformed number literal '1.5E3' at offset 57\n"
+
+
 def test_pydict_and_to_sql_pipe(schema_flag):
     proc = run_cli(["pydict", *schema_flag, "--db-id", "cars"], stdin=CASE_CARS.wrong)
     assert proc.returncode == 0

@@ -1,8 +1,9 @@
 """Seeded fuzz of the eight JSONL subcommands, run in-process through
 ``cli.main``. Each command reads a valid line of another database and then
 one mutated line: every truncation of a valid seed line, random
-single-character substitutions, and every field, nested ones included,
-replaced by a value of each JSON kind. Every run must exit 0 or 1 with no
+single-character substitutions, number forms that the tokenizer rejects in
+place of a SQL number, and every field, nested ones included, replaced by a
+value of each JSON kind. Every run must exit 0 or 1 with no
 exception escaping ``main``, and each stdout line of the commands that
 print JSON must parse as strict JSON (no ``NaN`` or ``Infinity``)."""
 
@@ -21,6 +22,8 @@ SEED = 20231018
 SUBSTITUTIONS = 40
 REPLACEMENTS = ['"3"', "3", "2.5", "true", "null", "[]", "{}", "NaN"]
 SUBSTITUTE_CHARS = '{}[]":,\\ 0123456789.-eEtrufalsné '
+# number forms the tokenizer rejects, put in place of the SQL number 2
+NUMBER_FORMS = ["1e3", "1E3", "1.5e3", ".5", "5."]
 STRICT_JSON_OUTPUT = {"synth", "eval", "simulate", "stats"}
 
 
@@ -73,6 +76,8 @@ def _mutations(line):
     for _ in range(SUBSTITUTIONS):
         n = rng.randrange(len(line))
         yield line[:n] + rng.choice(SUBSTITUTE_CHARS) + line[n + 1:]
+    for form in NUMBER_FORMS:
+        yield line.replace("limit 2", f"limit {form}").replace("> 2", f"> {form}")
     obj = json.loads(line)
     for path in _paths(obj):
         yield from (_replaced(obj, path, text) for text in REPLACEMENTS)

@@ -158,6 +158,73 @@ def test_trailing_junk_rejected(schemas):
         parse(tokenize("select tweets.id from tweets tweets"), schemas["social"])
 
 
+_T = "select tweets.id from tweets"
+
+
+@pytest.mark.parametrize("sql,message,position", [
+    ("select", "expected column reference, got 'end of input' at token 1", 1),
+    ("select tweets.id from", "expected table name, got 'end of input' at token 3", 3),
+    (f"{_T} where", "expected column reference, got 'end of input' at token 5", 5),
+    (f"{_T} limit", "expected integer after limit at token 5", 5),
+    ("select count(", "expected column reference, got 'end of input' at token 3", 3),
+    ("select count(*", "expected ')', got 'end of input' at token 4", 4),
+    (f"{_T} where tweets.id in", "expected '(', got 'end of input' at token 7", 7),
+    (f"{_T} where tweets.id in (", "expected literal value, got 'end of input' at token 8", 8),
+    (f"{_T} where tweets.id in (1,", "expected literal value, got 'end of input' at token 10",
+     10),
+    (f"{_T} where tweets.id in (select",
+     "expected column reference, got 'end of input' at token 9", 9),
+    (f"{_T} where tweets.id not = 1",
+     "'not' must be followed by 'in' or 'like', got '=' at token 8", 8),
+    (f"{_T} where tweets.id not between 1 and 2",
+     "'not' must be followed by 'in' or 'like', got 'between' at token 8", 8),
+    (f"{_T} where tweets.id not", "expected comparison operator at token 7", 7),
+    (f"{_T} where tweets.id", "expected comparison operator at token 6", 6),
+    (f"{_T} where tweets.id select", "expected comparison operator, got 'select' at token 7", 7),
+    (f"{_T} where tweets.id >", "expected operand at token 7", 7),
+    (f"{_T} where tweets.id = select", "expected operand, got 'select' at token 8", 8),
+    (f"{_T} where tweets.id between 1", "expected 'and', got 'end of input' at token 8", 8),
+    (f"{_T} group", "expected 'by', got 'end of input' at token 5", 5),
+    (f"{_T} order by", "expected column reference, got 'end of input' at token 6", 6),
+    (f"{_T} limit 1.5", "limit must be a non-negative integer, got '1.5' at token 6", 6),
+    (f"{_T} limit 'a'", "expected integer after limit at token 6", 6),
+    (f"{_T} as", "expected alias, got 'end of input' at token 5", 5),
+    (f"{_T} join", "expected table name, got 'end of input' at token 5", 5),
+    ("select tweets.id from (select tweets.id from tweets) as",
+     "expected subquery alias, got 'end of input' at token 10", 10),
+    ("select a.b.c from tweets", "malformed column reference 'a.b.c' at token 3", 3),
+    ("select max(min(tweets.id)) from tweets", "aggregates cannot be nested at token 9", 9),
+    (f"{_T}; tweets", "unexpected token 'tweets' at token 6", 6),
+    (f"{_T} ; ; select", "unexpected token 'select' at token 7", 7),
+    ("from tweets", "expected 'select', got 'from' at token 1", 1),
+])
+def test_syntax_error_texts_and_positions(schemas, sql, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(tokenize(sql), schemas["social"])
+    assert (str(err.value), err.value.position) == (message, position)
+
+
+def test_empty_token_list_error(schemas):
+    with pytest.raises(ParseError) as err:
+        parse([], schemas["social"])
+    assert (str(err.value), err.value.position) == (
+        "expected 'select', got 'end of input' at token 1", 1)
+
+
+_SUB = "from (select cars_data.mpg from cars_data) as t"
+
+
+@pytest.mark.parametrize("sql,canonical", [
+    (f"select t.* {_SUB}", "select * from (select cars_data.mpg from cars_data)"),
+    (f"select count(t.*) {_SUB}", "select count(*) from (select cars_data.mpg from cars_data)"),
+])
+def test_star_qualified_by_subquery_alias(schemas, sql, canonical):
+    q = parse_sql(sql, schemas["cars"])
+    assert render(q) == canonical
+    assert parse_sql(render(q), schemas["cars"]) == q
+    assert q == parse_sql(sql.replace("t.*", "*"), schemas["cars"])
+
+
 def _mutant(rng, schema, word):
     """A reference that may not resolve, in place of the identifier ``word``."""
     qual, dot, column = word.rpartition(".")

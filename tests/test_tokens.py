@@ -67,6 +67,17 @@ def test_number_kinds():
     assert tokenize("where x = 3.5")[-1].kind == "number-literal"
 
 
+@pytest.mark.parametrize("literal", ["1e3", "1E3", "1.5e3", ".5", "5.", "1.2.3", "2nd", "5.*"])
+def test_malformed_numbers_rejected(literal):
+    with pytest.raises(TokenizeError) as err:
+        tokenize(f"select a from t where b = {literal}")
+    assert str(err.value) == f"malformed number literal {literal!r} at offset 26"
+
+
+def test_words_with_a_dot_are_identifiers_unless_numeric():
+    assert [t.kind for t in tokenize("t1.c .c t.5")] == ["identifier"] * 3
+
+
 def test_detokenize_spacing():
     assert detokenize(["count", "(", "*", ")"]) == "count(*)"
     assert detokenize(["max", "(", "cars_data.horsepower", ")"]) == \
@@ -103,7 +114,11 @@ _PIECES = (list("'\".*<>!=(),;+-/_")
 def test_tokenize_matches_pinned_digest():
     # The token lists, or error messages, of 20,000 seeded random strings,
     # pinned as a sha256 prefix when tokenize scanned one character at a
-    # time. The pieces hold every whitespace character below U+3001.
+    # time, and pinned again when words that start like a number but are not
+    # plain numbers became errors. 3,487 strings changed, each to that error:
+    # those that tokenized before held such a word, and those that failed
+    # before now fail at an earlier offset. The pieces hold every whitespace
+    # character below U+3001.
     assert len(_SPACES) == 29
     rng = random.Random(8)
     digest = hashlib.sha256()
@@ -114,4 +129,4 @@ def test_tokenize_matches_pinned_digest():
         except TokenizeError as exc:
             out = str(exc)
         digest.update(repr((text, out)).encode() + b"\n")
-    assert digest.hexdigest()[:16] == "a145b30a2ec8ab15"
+    assert digest.hexdigest()[:16] == "217a830067ab990f"
