@@ -326,7 +326,7 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
                     rows.execute(wrong.sql, output.db_id)
                 except ExecutionError:
                     continue  # non-executable parses are dropped too
-            em = exact_set_match(wrong.ast, gold.ast)
+            em = wrong.sql == gold.sql or exact_set_match(wrong.ast, gold.ast)
             ex = em if rows is None else execution_match(  # no backend: EM alone judges
                 wrong.sql, gold.sql, output.db_id, rows, gold_ordered=gold_ordered)
             if (em and ex) if policy == "either" else (em or ex):

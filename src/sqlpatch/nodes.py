@@ -1,7 +1,9 @@
 """AST nodes for the Spider SQL subset.
 
 Nodes are slotted dataclasses with structural equality and no hash. No code
-mutates one; every transformation builds new values (tests/test_nodes.py).
+mutates one after parse returns it; every transformation builds new values
+(tests/test_nodes.py). Before that, normalize resolves the parser's fresh
+tree in place, so a parsed tree shares no node.
 """
 
 from __future__ import annotations

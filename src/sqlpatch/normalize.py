@@ -7,7 +7,7 @@ reference that names no single table occurrence is a NormalizeError.
 Aliases for tables that occur once in FROM are dropped and their references
 rewritten to the real table name; aliases on repeated tables (self-joins)
 are kept, since dropping them would lose which occurrence a column means.
-The pass is idempotent.
+The pass resolves the parser's fresh tree in place, and is idempotent.
 """
 
 from __future__ import annotations
@@ -18,42 +18,37 @@ from typing import Optional
 from .errors import NormalizeError, ParseError
 from .nodes import (
     BoolExpr, BoolOp, ColumnRef, ColUnit, Condition, FromClause, JoinedTable,
-    Literal, OrderItem, Query, Select, SelectItem, SetOp, ValueList, ValUnit,
+    Literal, Query, ValueList, ValUnit,
 )
 from .schema import SchemaInfo
 from .traverse import visible_tables
 
 
 def normalize(query: Query, schema: SchemaInfo) -> Query:
+    """Check and resolve query in place, and return it. Every reference
+    node is rewritten where it stands, so the tree must share no node; the
+    parser builds such a tree and hands it here before anything else sees it."""
     fc = query.from_clause
-    sub = normalize(fc.subquery, schema) if fc.subquery is not None else None
-    scope = _Scope(fc, sub, schema)
-    new_from = FromClause(
-        tuple(
-            JoinedTable(
-                jt.table.lower(),
-                scope.kept_alias(jt),
-                tuple(_norm_cond(c, scope) for c in jt.conds),
-            )
-            for jt in fc.tables
-        ),
-        sub,
-    )
-    select = Select(
-        query.select.distinct,
-        tuple(
-            SelectItem(item.agg, item.distinct, _norm_val(item.val, scope))
-            for item in query.select.items
-        ),
-    )
-    where = _norm_bool(query.where, scope)
-    group_by = tuple(scope.resolve(c) for c in query.group_by)
-    having = _norm_bool(query.having, scope)
-    order_by = tuple(OrderItem(_norm_val(i.val, scope), i.direction) for i in query.order_by)
-    set_op = None
+    if fc.subquery is not None:
+        normalize(fc.subquery, schema)
+    scope = _Scope(fc, schema)
+    for jt in fc.tables:
+        jt.table = jt.table.lower()
+        jt.alias = scope.kept_alias(jt)
+        for cond in jt.conds:
+            _cond(cond, scope)
+    fc.subquery_alias = None
+    for item in query.select.items:
+        _val(item.val, scope)
+    _bool(query.where, scope)
+    for col in query.group_by:
+        scope.resolve(col)
+    _bool(query.having, scope)
+    for item in query.order_by:
+        _val(item.val, scope)
     if query.set_op is not None:
-        set_op = SetOp(query.set_op.kind, normalize(query.set_op.right, schema))
-    return Query(select, new_from, where, group_by, having, order_by, query.limit, set_op)
+        normalize(query.set_op.right, schema)
+    return query
 
 
 class _Scope:
@@ -66,15 +61,15 @@ class _Scope:
     aliases of repeated tables, which stay in the output.
     """
 
-    def __init__(self, fc: FromClause, sub: Optional[Query], schema: SchemaInfo):
+    def __init__(self, fc: FromClause, schema: SchemaInfo):
         self.schema = schema
-        if sub is None:
+        if fc.subquery is None:
             names = [jt.table.lower() for jt in fc.tables]
             for name in names:
                 if not schema.has_table(name):
                     raise ParseError(f"unknown table {name!r} in schema {schema.db_id!r}")
         else:
-            names = sorted(visible_tables(sub))
+            names = sorted(visible_tables(fc.subquery))
         self.counts = counts = Counter(names)
         self.tables = list(counts)
         self.quals = {t: (t,) for t in self.tables}
@@ -98,16 +93,18 @@ class _Scope:
             return jt.alias.lower()
         return None
 
-    def resolve(self, col: ColumnRef) -> ColumnRef:
-        column = col.column.lower()
+    def resolve(self, col: ColumnRef) -> None:
+        col.column = column = col.column.lower()
         if not col.table:
             if column == "*":
-                return ColumnRef(None, "*")
+                col.table = None
+                return
             owner = self._owner(column, self.tables, qualified=False)
             if self.counts[owner] > 1:
                 raise NormalizeError(
                     f"column {column!r} of repeated table {owner!r} must be alias-qualified")
-            return ColumnRef(owner, column)
+            col.table = owner
+            return
         qual = col.table.lower()
         tables = self.quals.get(qual)
         if tables is None:
@@ -116,10 +113,11 @@ class _Scope:
         if column != "*":
             owner = self._owner(column, tables, qualified=True)
         elif qual == self.sub_alias:
-            return ColumnRef(None, "*")  # the alias is dropped, as for t.col
+            col.table = None  # the alias is dropped, as for t.col
+            return
         else:
             owner = tables[0]
-        return ColumnRef(qual if qual in self.kept else owner, column)
+        col.table = qual if qual in self.kept else owner
 
     def _owner(self, column: str, tables, qualified: bool) -> str:
         owners = [t for t in tables if self.schema.has_column(t, column)]
@@ -131,38 +129,31 @@ class _Scope:
         raise ParseError(f"unknown column {column!r}{where}")
 
 
-def _norm_val(val: ValUnit, scope: _Scope) -> ValUnit:
-    left = _norm_unit(val.left, scope)
-    right = _norm_unit(val.right, scope) if val.right is not None else None
-    return ValUnit(val.op, left, right)
+def _val(val: ValUnit, scope: _Scope) -> None:
+    scope.resolve(val.left.col)
+    if val.right is not None:
+        scope.resolve(val.right.col)
 
 
-def _norm_unit(unit: ColUnit, scope: _Scope) -> ColUnit:
-    return ColUnit(unit.agg, unit.distinct, scope.resolve(unit.col))
-
-
-def _norm_bool(expr: Optional[BoolExpr], scope: _Scope) -> Optional[BoolExpr]:
-    if expr is None:
-        return None
+def _bool(expr: Optional[BoolExpr], scope: _Scope) -> None:
     if isinstance(expr, BoolOp):
-        return BoolOp(expr.op, tuple(_norm_bool(a, scope) for a in expr.args))
-    return _norm_cond(expr, scope)
+        for arg in expr.args:
+            _bool(arg, scope)
+    elif expr is not None:
+        _cond(expr, scope)
 
 
-def _norm_cond(cond: Condition, scope: _Scope) -> Condition:
-    return Condition(
-        _norm_val(cond.left, scope),
-        cond.op,
-        _norm_operand(cond.right, scope),
-        _norm_operand(cond.right2, scope) if cond.right2 is not None else None,
-    )
+def _cond(cond: Condition, scope: _Scope) -> None:
+    _val(cond.left, scope)
+    _operand(cond.right, scope)
+    if cond.right2 is not None:
+        _operand(cond.right2, scope)
 
 
-def _norm_operand(operand, scope: _Scope):
+def _operand(operand, scope: _Scope) -> None:
     if isinstance(operand, Query):
-        return normalize(operand, scope.schema)
-    if isinstance(operand, ColUnit):
-        return _norm_unit(operand, scope)
-    if isinstance(operand, (Literal, ValueList)):
-        return operand
-    raise NormalizeError(f"unsupported operand {operand!r}")
+        normalize(operand, scope.schema)
+    elif isinstance(operand, ColUnit):
+        scope.resolve(operand.col)
+    elif not isinstance(operand, (Literal, ValueList)):
+        raise NormalizeError(f"unsupported operand {operand!r}")

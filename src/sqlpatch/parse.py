@@ -38,8 +38,8 @@ class _Cursor:
 
     @property
     def position(self) -> int:
-        """1-based position of the current token (for error messages)."""
-        return min(self.i, self.n - 1) + 1 if self.n else 1
+        """1-based position of the current token, one past the last at the end."""
+        return self.i + 1
 
     def accept(self, text: str) -> bool:
         if self.texts[self.i] == text:
@@ -94,11 +94,11 @@ def _query(cur: _Cursor) -> Query:
         if cur.kinds[cur.i] != "number-literal":
             cur.error("expected integer after limit")
         text = cur.texts[cur.i]
-        cur.i += 1
         try:
             limit = int(text)
         except ValueError:
             cur.error(f"limit must be a non-negative integer, got {text!r}")
+        cur.i += 1
     set_op = None
     kind = cur.texts[cur.i]
     if kind in _SET_OPS:

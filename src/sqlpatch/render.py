@@ -8,32 +8,17 @@ left implicit, explicit "desc". Subqueries render inline, in parentheses.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .nodes import (
-    BoolExpr, ColUnit, Condition, FromClause, Literal,
-    Query, Select, SelectItem, ValueList, ValUnit,
+    BoolExpr, BoolOp, ColUnit, Condition, FromClause, Literal, Query, Select,
+    ValueList, ValUnit,
 )
 from .tokens import detokenize
 
 
 def render_tokens(query: Query) -> list[str]:
-    out = select_tokens(query.select)
-    out += from_tokens(query.from_clause)
-    if query.where is not None:
-        out += ["where"] + bool_tokens(query.where)
-    if query.group_by:
-        out += ["group", "by"] + _joined(",", [[col.text()] for col in query.group_by])
-    if query.having is not None:
-        out += ["having"] + bool_tokens(query.having)
-    if query.order_by:
-        out += ["order", "by"] + _joined(",", [
-            val_tokens(item.val) + (["desc"] if item.direction == "desc" else [])
-            for item in query.order_by])
-    if query.limit is not None:
-        out += ["limit", str(query.limit)]
-    if query.set_op is not None:
-        out += [query.set_op.kind] + render_tokens(query.set_op.right)
+    """Canonical token texts of a normalized query."""
+    out: list[str] = []
+    _query(query, out)
     return out
 
 
@@ -42,92 +27,114 @@ def render(query: Query) -> str:
     return detokenize(render_tokens(query))
 
 
-def _joined(sep: str, parts: Iterable[list[str]]) -> list[str]:
-    out: list[str] = []
-    for part in parts:
-        if out:
-            out.append(sep)
-        out += part
-    return out
+# Each helper appends the tokens of one node to out.
+
+def _query(q: Query, out: list[str]) -> None:
+    _select(q.select, out)
+    _from(q.from_clause, out)
+    if q.where is not None:
+        out.append("where")
+        _bool(q.where, out)
+    if q.group_by:
+        out.append("group")
+        for i, col in enumerate(q.group_by):
+            out += ("," if i else "by", col.text())
+    if q.having is not None:
+        out.append("having")
+        _bool(q.having, out)
+    if q.order_by:
+        out.append("order")
+        for i, item in enumerate(q.order_by):
+            out.append("," if i else "by")
+            _val(item.val, out)
+            if item.direction == "desc":
+                out.append("desc")
+    if q.limit is not None:
+        out += ("limit", str(q.limit))
+    if q.set_op is not None:
+        out.append(q.set_op.kind)
+        _query(q.set_op.right, out)
 
 
-def select_tokens(select: Select) -> list[str]:
-    out = ["select", "distinct"] if select.distinct else ["select"]
-    return out + _joined(",", map(item_tokens, select.items))
+def _select(select: Select, out: list[str]) -> None:
+    out.append("select")
+    if select.distinct:
+        out.append("distinct")
+    for i, item in enumerate(select.items):
+        if i:
+            out.append(",")
+        if item.agg is None:
+            _val(item.val, out)
+        else:
+            out += (item.agg, "(", "distinct") if item.distinct else (item.agg, "(")
+            _val(item.val, out)
+            out.append(")")
 
 
-def item_tokens(item: SelectItem) -> list[str]:
-    if item.agg is not None:
-        out = [item.agg, "("]
-        if item.distinct:
-            out.append("distinct")
-        out += val_tokens(item.val)
-        out.append(")")
-        return out
-    return val_tokens(item.val)
-
-
-def val_tokens(val: ValUnit) -> list[str]:
-    out = unit_tokens(val.left)
+def _val(val: ValUnit, out: list[str]) -> None:
+    _unit(val.left, out)
     if val.op is not None:
         out.append(val.op)
-        out += unit_tokens(val.right)
-    return out
+        _unit(val.right, out)
 
 
-def unit_tokens(unit: ColUnit) -> list[str]:
-    if unit.agg is not None:
-        out = [unit.agg, "("]
-        if unit.distinct:
-            out.append("distinct")
+def _unit(unit: ColUnit, out: list[str]) -> None:
+    if unit.agg is None:
         out.append(unit.col.text())
-        out.append(")")
-        return out
-    return [unit.col.text()]
+    elif unit.distinct:
+        out += (unit.agg, "(", "distinct", unit.col.text(), ")")
+    else:
+        out += (unit.agg, "(", unit.col.text(), ")")
 
 
-def from_tokens(fc: FromClause) -> list[str]:
+def _from(fc: FromClause, out: list[str]) -> None:
     if fc.subquery is not None:
-        out = ["from", "("] + render_tokens(fc.subquery) + [")"]
+        out += ("from", "(")
+        _query(fc.subquery, out)
+        out.append(")")
         if fc.subquery_alias:
-            out += ["as", fc.subquery_alias]
-        return out
-    out = ["from"]
+            out += ("as", fc.subquery_alias)
+        return
     for i, jt in enumerate(fc.tables):
-        if i:
-            out.append("join")
-        out.append(jt.table)
+        out += ("join" if i else "from", jt.table)
         if jt.alias:
-            out += ["as", jt.alias]
-        if jt.conds:
-            out += ["on"] + _joined("and", map(cond_tokens, jt.conds))
-    return out
+            out += ("as", jt.alias)
+        for j, cond in enumerate(jt.conds):
+            out.append("and" if j else "on")
+            _cond(cond, out)
 
 
-def bool_tokens(expr: BoolExpr) -> list[str]:
-    if isinstance(expr, Condition):
-        return cond_tokens(expr)
-    return _joined(expr.op, map(bool_tokens, expr.args))
+def _bool(expr: BoolExpr, out: list[str]) -> None:
+    if isinstance(expr, BoolOp):
+        for i, arg in enumerate(expr.args):
+            if i:
+                out.append(expr.op)
+            _bool(arg, out)
+    else:
+        _cond(expr, out)
 
 
-def cond_tokens(cond: Condition) -> list[str]:
-    out = val_tokens(cond.left)
+def _cond(cond: Condition, out: list[str]) -> None:
+    _val(cond.left, out)
     out += cond.op.split(" ")  # "not in" / "not like" become two tokens
-    out += operand_tokens(cond.right)
+    _operand(cond.right, out)
     if cond.op == "between":
         out.append("and")
-        out += operand_tokens(cond.right2)
-    return out
+        _operand(cond.right2, out)
 
 
-def operand_tokens(operand) -> list[str]:
+def _operand(operand, out: list[str]) -> None:
     if isinstance(operand, Literal):
-        return [operand.text]
-    if isinstance(operand, ColUnit):
-        return unit_tokens(operand)
-    if isinstance(operand, ValueList):
-        return ["("] + _joined(",", [[lit.text] for lit in operand.items]) + [")"]
-    if isinstance(operand, Query):
-        return ["("] + render_tokens(operand) + [")"]
-    raise TypeError(f"cannot render operand {operand!r}")
-
+        out.append(operand.text)
+    elif isinstance(operand, ColUnit):
+        _unit(operand, out)
+    elif isinstance(operand, ValueList):
+        for i, lit in enumerate(operand.items):
+            out += ("," if i else "(", lit.text)
+        out.append(")")
+    elif isinstance(operand, Query):
+        out.append("(")
+        _query(operand, out)
+        out.append(")")
+    else:
+        raise TypeError(f"cannot render operand {operand!r}")

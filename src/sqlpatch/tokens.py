@@ -7,6 +7,7 @@ A Token is an immutable named tuple, so shared instances are safe.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import NamedTuple
 
@@ -27,20 +28,13 @@ KEYWORDS = frozenset(
 COMPARE_OPS = ("=", "!=", "<=", ">=", "<", ">")
 ARITH_OPS = ("+", "-", "*", "/")
 
-# One alternative per token class; "bad" catches any other character, so
-# consecutive matches cover the whole input. A word that starts like a number
-# (a digit, or "." and a digit) but is not a plain number is a "malformed" one.
-_TOKEN_RE = re.compile(r"""
-    (?P<space>\s+)
-  | (?P<literal>'[^']*'|"[^"]*")
-  | (?P<number>[0-9]+(?:\.[0-9]+)?(?![A-Za-z0-9_.]))
-  | (?P<malformed>\.?[0-9][A-Za-z0-9_.]*(?:(?<=\.)\*)?)
-  | (?P<word>[A-Za-z0-9_.]+(?:(?<=\.)\*)?)
-  | (?P<operator><=|>=|!=|<>|[=<>+\-/])
-  | (?P<star>\*)
-  | (?P<punctuation>[(),;])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# Every token is one match; whitespace matches nothing, and "\S" catches any
+# other character, so the matches cover the input. A word that starts like a
+# number (a digit, or "." and a digit) but is not a plain number is malformed.
+_TOKEN_RE = re.compile(r"""'[^']*'|"[^"]*"|[A-Za-z0-9_.]+(?:(?<=\.)\*)?"""
+                       r"|<=|>=|!=|<>|[=<>+\-/*(),;]|\S")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?").fullmatch
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
 
 
 class Token(NamedTuple):
@@ -68,30 +62,36 @@ def tokenize(sql: str) -> list[Token]:
     """
     if sql is None or not sql.strip():
         raise TokenizeError("empty input")
+    shared = _SHARED.get
     tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(sql):
-        group = match.lastgroup
-        if group == "space":
-            continue
-        text = match.group()
-        if group == "word":
-            word = text.lower()
-            tokens.append(_SHARED.get(word)
-                          or Token(word, "star" if word.endswith(".*") else "identifier"))
-        elif group == "literal":
-            tokens.append(Token(text, "string-literal"))
-        elif group == "number":
-            tokens.append(Token(text, "number-literal"))
-        elif group == "malformed":
-            raise TokenizeError(f"malformed number literal {text!r} at offset {match.start()}")
-        elif group == "bad":
-            i = match.start()
-            if text in "'\"":
-                raise TokenizeError(f"unterminated string literal starting at offset {i}")
-            raise TokenizeError(f"illegal character {text!r} at offset {i}")
-        else:
-            tokens.append(_SHARED[text])
+    for text in _TOKEN_RE.findall(sql):
+        token = shared(text)
+        if token is None:
+            first = text[0]
+            if first in _WORD_CHARS:
+                if first.isdigit() or first == "." and text[1:2].isdigit():
+                    if not _NUMBER(text):
+                        raise _error(sql, len(tokens), f"malformed number literal {text!r}")
+                    token = Token(text, "number-literal")
+                else:
+                    word = text.lower()
+                    token = shared(word) or Token(word, "star" if word.endswith(".*")
+                                                  else "identifier")
+            elif first in "'\"":
+                if len(text) == 1:
+                    raise _error(sql, len(tokens), "unterminated string literal starting")
+                token = Token(text, "string-literal")
+            else:
+                raise _error(sql, len(tokens), f"illegal character {text!r}")
+        tokens.append(token)
     return tokens
+
+
+def _error(sql: str, i: int, what: str) -> TokenizeError:
+    """The error at the i-th token match of sql, which names its offset. The
+    match is found again only here: each match before it made one token."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(sql), i, None))
+    return TokenizeError(f"{what} at offset {match.start()}")
 
 
 def detokenize(texts) -> str:

@@ -121,6 +121,22 @@ def test_em_suite(schemas):
         assert exact_set_match(a, a) and exact_set_match(b, b)  # reflexivity
 
 
+def test_equal_canonical_text_implies_exact_set_match(schemas):
+    # synthesize_train takes equal canonical texts as an exact set match
+    # without computing it; that holds because render is injective on
+    # normalized ASTs. The fuzzer builds normalized ASTs; each pair is
+    # checked as it made them, and its gold against a parse of its text.
+    fuzzer = QueryFuzzer(schemas, seed=1415)
+    equal = 0
+    for _ in range(2000):
+        db_id, wrong, gold = fuzzer.pair()
+        for x, y in ((wrong, gold), (parse_sql(render(gold), schemas[db_id]), gold)):
+            if render(x) == render(y):
+                equal += 1
+                assert exact_set_match(x, y), render(x)
+    assert equal >= 2000
+
+
 # ---------------------------------------------------------------------------
 # Execution match
 

@@ -1,13 +1,16 @@
-"""No code mutates an AST node or a token.
+"""No code mutates an AST node after parse returns it, and no code mutates
+a token.
 
 Nodes are slotted dataclasses, so nothing stops an assignment at run time;
-this suite stands in for a runtime freeze. Every consumer of parsed ASTs
-runs over the seeded query corpus, and each AST must still equal the deep
-copy taken before. Tokens are named tuples, and the shared ones refuse
-assignment.
+this suite stands in for a runtime freeze. normalize resolves the parser's
+fresh tree in place, before parse returns it, so that tree must share no
+node object. Every consumer of parsed ASTs runs over the seeded query
+corpus, and each AST must still equal the deep copy taken before. Tokens
+are named tuples, and the shared ones refuse assignment.
 """
 
 import copy
+from dataclasses import fields, is_dataclass
 
 import pytest
 from queryfuzz import QueryFuzzer
@@ -34,6 +37,28 @@ def test_consumers_leave_parsed_asts_unchanged(schemas):
             diff_program(x, y)
             exact_set_match(x, y)
         assert a == a_copy and b == b_copy, render(gold)
+
+
+def _nodes(node):
+    yield node
+    for field in fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(child):
+                yield from _nodes(child)
+
+
+def test_parsed_trees_share_no_node(schemas):
+    # In-place resolution would rewrite a shared ColumnRef once per place
+    # it occurs, each time against that place's scope.
+    fuzzer = QueryFuzzer(schemas, seed=1414)
+    trees = []
+    for _ in range(300):
+        db_id, query = fuzzer.query()
+        trees.append(parse_sql(render(query), schemas[db_id]))
+    ids = [id(node) for tree in trees for node in _nodes(tree)]
+    assert len(ids) > 10_000
+    assert len(set(ids)) == len(ids)
 
 
 def test_nodes_are_unhashable(schemas):

@@ -162,36 +162,36 @@ _T = "select tweets.id from tweets"
 
 
 @pytest.mark.parametrize("sql,message,position", [
-    ("select", "expected column reference, got 'end of input' at token 1", 1),
-    ("select tweets.id from", "expected table name, got 'end of input' at token 3", 3),
-    (f"{_T} where", "expected column reference, got 'end of input' at token 5", 5),
-    (f"{_T} limit", "expected integer after limit at token 5", 5),
-    ("select count(", "expected column reference, got 'end of input' at token 3", 3),
-    ("select count(*", "expected ')', got 'end of input' at token 4", 4),
-    (f"{_T} where tweets.id in", "expected '(', got 'end of input' at token 7", 7),
-    (f"{_T} where tweets.id in (", "expected literal value, got 'end of input' at token 8", 8),
-    (f"{_T} where tweets.id in (1,", "expected literal value, got 'end of input' at token 10",
-     10),
+    ("select", "expected column reference, got 'end of input' at token 2", 2),
+    ("select tweets.id from", "expected table name, got 'end of input' at token 4", 4),
+    (f"{_T} where", "expected column reference, got 'end of input' at token 6", 6),
+    (f"{_T} limit", "expected integer after limit at token 6", 6),
+    ("select count(", "expected column reference, got 'end of input' at token 4", 4),
+    ("select count(*", "expected ')', got 'end of input' at token 5", 5),
+    (f"{_T} where tweets.id in", "expected '(', got 'end of input' at token 8", 8),
+    (f"{_T} where tweets.id in (", "expected literal value, got 'end of input' at token 9", 9),
+    (f"{_T} where tweets.id in (1,", "expected literal value, got 'end of input' at token 11",
+     11),
     (f"{_T} where tweets.id in (select",
-     "expected column reference, got 'end of input' at token 9", 9),
+     "expected column reference, got 'end of input' at token 10", 10),
     (f"{_T} where tweets.id not = 1",
      "'not' must be followed by 'in' or 'like', got '=' at token 8", 8),
     (f"{_T} where tweets.id not between 1 and 2",
      "'not' must be followed by 'in' or 'like', got 'between' at token 8", 8),
-    (f"{_T} where tweets.id not", "expected comparison operator at token 7", 7),
-    (f"{_T} where tweets.id", "expected comparison operator at token 6", 6),
+    (f"{_T} where tweets.id not", "expected comparison operator at token 8", 8),
+    (f"{_T} where tweets.id", "expected comparison operator at token 7", 7),
     (f"{_T} where tweets.id select", "expected comparison operator, got 'select' at token 7", 7),
-    (f"{_T} where tweets.id >", "expected operand at token 7", 7),
+    (f"{_T} where tweets.id >", "expected operand at token 8", 8),
     (f"{_T} where tweets.id = select", "expected operand, got 'select' at token 8", 8),
-    (f"{_T} where tweets.id between 1", "expected 'and', got 'end of input' at token 8", 8),
-    (f"{_T} group", "expected 'by', got 'end of input' at token 5", 5),
-    (f"{_T} order by", "expected column reference, got 'end of input' at token 6", 6),
+    (f"{_T} where tweets.id between 1", "expected 'and', got 'end of input' at token 9", 9),
+    (f"{_T} group", "expected 'by', got 'end of input' at token 6", 6),
+    (f"{_T} order by", "expected column reference, got 'end of input' at token 7", 7),
     (f"{_T} limit 1.5", "limit must be a non-negative integer, got '1.5' at token 6", 6),
     (f"{_T} limit 'a'", "expected integer after limit at token 6", 6),
-    (f"{_T} as", "expected alias, got 'end of input' at token 5", 5),
-    (f"{_T} join", "expected table name, got 'end of input' at token 5", 5),
+    (f"{_T} as", "expected alias, got 'end of input' at token 6", 6),
+    (f"{_T} join", "expected table name, got 'end of input' at token 6", 6),
     ("select tweets.id from (select tweets.id from tweets) as",
-     "expected subquery alias, got 'end of input' at token 10", 10),
+     "expected subquery alias, got 'end of input' at token 11", 11),
     ("select a.b.c from tweets", "malformed column reference 'a.b.c' at token 3", 3),
     ("select max(min(tweets.id)) from tweets", "aggregates cannot be nested at token 9", 9),
     (f"{_T}; tweets", "unexpected token 'tweets' at token 6", 6),

@@ -74,6 +74,18 @@ def test_malformed_numbers_rejected(literal):
     assert str(err.value) == f"malformed number literal {literal!r} at offset 26"
 
 
+@pytest.mark.parametrize("sql,message", [
+    ("select 'a!b' from t where x ! 1", "illegal character '!' at offset 28"),
+    ("select \"it's\" from t where x = 'oops", "unterminated string literal starting at offset 31"),
+    ("select '1e3' from t where x = 1e3", "malformed number literal '1e3' at offset 30"),
+])
+def test_error_offset_is_the_token_not_an_earlier_literal(sql, message):
+    # The offending text also occurs inside an earlier string literal.
+    with pytest.raises(TokenizeError) as err:
+        tokenize(sql)
+    assert str(err.value) == message
+
+
 def test_words_with_a_dot_are_identifiers_unless_numeric():
     assert [t.kind for t in tokenize("t1.c .c t.5")] == ["identifier"] * 3
 
