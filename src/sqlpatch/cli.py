@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
 from functools import partial
 
@@ -201,17 +200,20 @@ def _schema_of(schemas, db_id):
 
 
 def _map_lines(fn, path, workers: int = 1):
-    """Yield fn(line) for every non-blank JSONL input line, in input order;
-    on a process pool when workers > 1, whose initializer hands fn, with
-    the schemas bound in it, to each worker once, and which takes the lines
-    in about four chunks per worker. Lines split at line feeds only: JSON
-    text may hold U+2028 and the other breaks str.splitlines splits at. A
-    domain error ends the run and names its 1-based line."""
+    """Yield fn(line) for every non-blank JSONL input line, in input order.
+    With workers > 1 and at least two lines, on a process pool (imported
+    only then) whose initializer hands fn, with the schemas bound in it, to
+    each worker once, and which takes the lines in about four chunks per
+    worker; fewer lines run in this process, as with one worker. Lines
+    split at line feeds only: JSON text may hold U+2028 and the other
+    breaks str.splitlines splits at. A domain error ends the run and names
+    its 1-based line."""
     numbered = [(n, line) for n, line in enumerate(_read(path).split("\n"), 1)
                 if line.strip()]
     lines = [line for _, line in numbered]
     with ExitStack() as stack:
-        if workers > 1:
+        if workers > 1 and len(lines) > 1:
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(fn,)))
             mapped = pool.map(_worker_call, lines,

@@ -11,10 +11,10 @@ never from a candidate's own claimed result.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 import random
-import subprocess
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
@@ -24,6 +24,7 @@ from .errors import DatasetError, SqlPatchError
 from .program import EditProgram, render_program
 
 EXIT_WAIT_S = 10  # how long close() waits for an external generator to exit
+READ_WAIT_S = 60  # how long propose() waits for each response line
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,8 @@ class OracleGenerator:
 
 
 def _stable_seed(seed: int, prefix: Sequence[str]) -> int:
+    import hashlib
+
     digest = hashlib.sha256(
         json.dumps([seed, list(prefix)], ensure_ascii=False).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -170,26 +173,35 @@ def _stable_seed(seed: int, prefix: Sequence[str]) -> int:
 class SubprocessGenerator:
     """Attach an external generator over line-delimited JSON on its stdio:
     request ``{"x", "prefix", "beam_size"}``, response
-    ``{"candidates": [{"actions": [...], "final_query": "..."}]}``."""
+    ``{"candidates": [{"actions": [...], "final_query": "..."}]}``, both in
+    UTF-8. A response line that takes longer than READ_WAIT_S seconds is an
+    error, and the generator is killed."""
 
     def __init__(self, cmd: Sequence[str]):
+        import subprocess
+
         try:
-            self.proc = subprocess.Popen(
-                list(cmd), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            self.proc = subprocess.Popen(list(cmd), stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE)
         except OSError as exc:
             raise SqlPatchError(f"cannot start external generator: {exc}") from None
+        self._pending = bytearray()  # bytes read past the last response line
 
     def propose(self, x: str, prefix: Sequence[str], beam_size: int) -> list[Candidate]:
         request = json.dumps({"x": x, "prefix": list(prefix), "beam_size": beam_size},
                              ensure_ascii=False)
-        self.proc.stdin.write(request + "\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
+        try:
+            self.proc.stdin.write((request + "\n").encode("utf-8"))
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            raise SqlPatchError("external generator closed its input stream") from None
+        line = self._read_line()
         if not line:
             raise SqlPatchError("external generator closed its output stream")
         try:
-            (entries,) = json_fields(line, {"candidates": list}, defaults={"candidates": []})
-        except DatasetError as exc:
+            (entries,) = json_fields(line.decode("utf-8"), {"candidates": list},
+                                     defaults={"candidates": []})
+        except (DatasetError, UnicodeDecodeError) as exc:
             raise SqlPatchError(f"external generator response: {exc}") from None
         if not all(type(c) is dict and type(c.get("final_query", "")) is str
                    and type(c.get("actions", [])) is list
@@ -200,10 +212,43 @@ class SubprocessGenerator:
         return [Candidate(tuple(c.get("actions", ())), c.get("final_query", ""))
                 for c in entries]
 
+    def _read_line(self) -> bytes:
+        """The next line of the generator's output, with its line feed; at
+        the end of the stream, what is left (b"" when nothing is). A text
+        readline cannot be interrupted, so the pipe is read through a
+        selector into _pending, each wait bounded by what is left of
+        READ_WAIT_S."""
+        import selectors
+
+        deadline = time.monotonic() + READ_WAIT_S
+        fd = self.proc.stdout.fileno()
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                left = deadline - time.monotonic()
+                if left <= 0 or not selector.select(left):
+                    self.proc.kill()
+                    self.proc.wait()
+                    raise SqlPatchError("external generator did not answer within "
+                                        f"{READ_WAIT_S} s")
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    break
+                self._pending += chunk
+        end = self._pending.find(b"\n") + 1 or len(self._pending)
+        line = bytes(self._pending[:end])
+        del self._pending[:end]
+        return line
+
     def close(self):
         """End the generator's input and wait for it to exit; one still
         running after EXIT_WAIT_S seconds is killed, and that is an error."""
-        self.proc.stdin.close()
+        import subprocess
+
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:
+            pass  # it stopped reading its input; whether it exits is checked below
         try:
             self.proc.wait(timeout=EXIT_WAIT_S)
         except subprocess.TimeoutExpired:

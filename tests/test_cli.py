@@ -579,3 +579,114 @@ def test_domain_error_exit_code(schema_flag):
 def test_missing_subcommand_exits_2():
     proc = run_cli([])
     assert proc.returncode == 2
+
+
+# Modules that only the process pool (workers > 1 on two or more lines),
+# the oracle generator's seed (hashlib, which loads OpenSSL) and an external
+# generator (subprocess) need; every other command starts without them.
+_ON_DEMAND = {"concurrent.futures.process", "multiprocessing", "subprocess", "hashlib",
+              "_hashlib"}
+
+
+def loaded_modules(args, stdin, tmp_path):
+    """The names in sys.modules after a CLI run in a fresh interpreter."""
+    out = tmp_path / "modules.json"
+    probe = ("import json, sys\n"
+             "from sqlpatch.cli import main\n"
+             "status = main(sys.argv[2:])\n"
+             "with open(sys.argv[1], 'w') as fh:\n"
+             "    json.dump(sorted(sys.modules), fh)\n"
+             "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, str(out), *args], input=stdin,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout or not stdin
+    return set(json.loads(out.read_text(encoding="utf-8")))
+
+
+def test_commands_start_without_the_pool_subprocess_or_openssl(
+        schema_flag, db_dir, tmp_path):
+    eval_lines = "\n".join(json.dumps({"db_id": o.db_id, "gold": o.gold_sql, "pred": sql})
+                           for o in build_mock_beams()[:2] for sql, _ in o.beam[:2])
+    beams = "\n".join(o.to_json() for o in build_mock_beams()[:2])
+    db = ["--db-dir", str(db_dir)]
+    runs = [(["eval", *schema_flag, *db], eval_lines),
+            (["synth", *schema_flag, *db], beams),
+            (["synth", *schema_flag, "--workers", "2"], ""),
+            (["normalize", *schema_flag, "--db-id", "social"],
+             "SELECT T1.text FROM tweets AS T1")]
+    for args, stdin in runs:
+        assert loaded_modules(args, stdin, tmp_path) & _ON_DEMAND == set(), args
+
+
+def test_the_pool_and_generators_load_what_they_use(schema_flag, schemas, tmp_path):
+    beams = "\n".join(o.to_json() for o in build_mock_beams()[:2])
+    assert "concurrent.futures.process" in loaded_modules(
+        ["synth", *schema_flag, "--workers", "2"], beams, tmp_path)
+    record = json.dumps(_a_record(schemas)) + "\n"
+    assert "hashlib" in loaded_modules(
+        ["simulate", *schema_flag, "--generator", "oracle"], record, tmp_path)
+    gen = tmp_path / "gen.py"
+    gen.write_text("for request in open(0):\n"
+                   "    print('{\"candidates\": []}', flush=True)\n", encoding="utf-8")
+    assert "subprocess" in loaded_modules(
+        ["simulate", *schema_flag, "--generator-cmd", f"{sys.executable} {gen}"],
+        record, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["eval", "synth"])
+@pytest.mark.parametrize("stdin", ["", "good", "bad"])
+def test_workers_below_two_lines_print_the_serial_output(schema_flag, command, stdin):
+    line = dict(_GOOD_LINES[command])
+    if stdin == "bad":
+        line["db_id"] = "nope"
+    text = "" if stdin == "" else json.dumps(line) + "\n"
+    seq = run_cli([command, *schema_flag, "--workers", "1"], stdin=text)
+    par = run_cli([command, *schema_flag, "--workers", "2"], stdin=text)
+    assert (par.returncode, par.stdout, par.stderr) == \
+        (seq.returncode, seq.stdout, seq.stderr)
+    if stdin == "bad":
+        assert seq.returncode == 1
+        assert seq.stderr.startswith("error: line 1: ") and "'nope'" in seq.stderr
+    else:
+        assert seq.returncode == 0 and bool(seq.stdout) == (stdin == "good")
+
+
+def test_simulate_kills_a_generator_that_does_not_answer(
+        tables_json_path, schemas, tmp_path, monkeypatch, capsys):
+    import os
+
+    from sqlpatch import interact
+    from sqlpatch.cli import main
+
+    monkeypatch.setattr(interact, "READ_WAIT_S", 0.2)
+    gen, pid_file, records = tmp_path / "gen.py", tmp_path / "pid", tmp_path / "records.jsonl"
+    gen.write_text("import os, sys, time\n"
+                   "open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+                   "sys.stdin.readline()\n"
+                   "time.sleep(60)\n", encoding="utf-8")
+    records.write_text("\n" + json.dumps(_a_record(schemas)) + "\n", encoding="utf-8")
+    status = main(["simulate", "--schema", str(tables_json_path), "--generator-cmd",
+                   f"{sys.executable} {gen} {pid_file}", str(records)])
+    assert status == 1
+    assert capsys.readouterr().err == \
+        "error: line 2: external generator did not answer within 0.2 s\n"
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
+
+
+def test_simulate_generator_that_closes_its_input_is_a_domain_error(
+        schema_flag, schemas, tmp_path):
+    # The generator closes its input before it answers the first request,
+    # so the request for record 2 meets a closed pipe.
+    gen = tmp_path / "gen.py"
+    gen.write_text("import os, sys\n"
+                   "sys.stdin.readline()\n"
+                   "os.close(0)\n"
+                   "print('{\"candidates\": []}', flush=True)\n", encoding="utf-8")
+    record = json.dumps(_a_record(schemas)) + "\n"
+    proc = run_cli(["simulate", *schema_flag, "--generator-cmd", f"{sys.executable} {gen}"],
+                   stdin=record + record)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["fully_corrected"] is False
+    assert proc.stderr == "error: line 2: external generator closed its input stream\n"

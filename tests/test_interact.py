@@ -207,6 +207,66 @@ def test_subprocess_generator_running_past_its_input_is_killed(monkeypatch):
     assert generator.proc.returncode == -signal.SIGKILL  # killed and reaped
 
 
+def test_subprocess_generator_that_does_not_answer_is_killed(monkeypatch):
+    monkeypatch.setattr(interact, "READ_WAIT_S", 0.2)
+    generator = SubprocessGenerator(
+        [sys.executable, "-c", "import sys, time; sys.stdin.readline(); time.sleep(60)"])
+    with pytest.raises(SqlPatchError, match=r"did not answer within 0\.2 s"):
+        generator.propose("x", [], 1)
+    assert generator.proc.returncode == -signal.SIGKILL  # killed and reaped
+    generator.close()
+
+
+def _replying(*pieces: bytes):
+    """A generator that, after its first request, writes each piece with a
+    pause between, then closes its output and exits at end of input."""
+    script = ("import os, sys, time\n"
+              "sys.stdin.readline()\n"
+              f"for piece in {list(pieces)!r}:\n"
+              "    sys.stdout.buffer.write(piece)\n"
+              "    sys.stdout.buffer.flush()\n"
+              "    time.sleep(0.05)\n"
+              "os.close(1)\n"
+              "sys.stdin.read()\n")
+    return SubprocessGenerator([sys.executable, "-c", script])
+
+
+def test_subprocess_generator_reads_a_response_sent_in_pieces():
+    response = json.dumps({"candidates": [{"actions": ["<Insert> 'café' <InsertEnd>"],
+                                           "final_query": "naïve ü"}]},
+                          ensure_ascii=False).encode("utf-8") + b"\n"
+    cut = response.index("é".encode("utf-8")) + 1  # inside the two bytes of é
+    with _replying(response[:5], response[5:cut], response[cut:]) as generator:
+        assert generator.propose("x", [], 1) == \
+            [Candidate(("<Insert> 'café' <InsertEnd>",), "naïve ü")]
+
+
+def test_subprocess_generator_keeps_bytes_past_a_line_for_the_next_call():
+    with _replying(b'{"candidates": []}\n{"candidates": [{"actions": ["a"]}]}\n') \
+            as generator:
+        assert generator.propose("x", [], 1) == []
+        assert generator.propose("x", ["b"], 1) == [Candidate(("a",), "")]
+
+
+def test_subprocess_generator_reads_a_last_line_without_a_line_feed():
+    with _replying(b'{"candidates": [{"actions": ["a"]}]}') as generator:
+        assert generator.propose("x", [], 1) == [Candidate(("a",), "")]
+        with pytest.raises(SqlPatchError, match="closed its output stream"):
+            generator.propose("x", ["a"], 1)
+
+
+def test_subprocess_generator_that_writes_nothing_closed_its_output():
+    with _replying() as generator:
+        with pytest.raises(SqlPatchError, match="closed its output stream"):
+            generator.propose("x", [], 1)
+
+
+def test_subprocess_generator_response_that_is_not_utf8_is_a_domain_error():
+    with _replying(b'{"candidates": ["\xff"]}\n') as generator:
+        with pytest.raises(SqlPatchError, match="external generator response: 'utf-8' codec"):
+            generator.propose("x", [], 1)
+
+
 def test_serve_generator_round_trip(schemas):
     import io
 
