@@ -30,7 +30,8 @@ _KEYWORD_TO_KEY = {"select": "select", "from": "from", "where": "where",
                    "group": "groupBy", "having": "having", "order": "orderBy",
                    "limit": "limit"}
 _MARKERS = frozenset(("(", ")", *SET_OP_KEYS, *_KEYWORD_TO_KEY))
-_PLACEHOLDER_RE = re.compile(r"\bsubquery\d+\b")
+# A placeholder, or a quoted literal to pass over: 'subquery0' is a value.
+_PLACEHOLDER_RE = re.compile(r"""'[^']*'|"[^"]*"|\bsubquery\d+\b""")
 
 
 class Composite:
@@ -39,7 +40,7 @@ class Composite:
     __slots__ = ("clause", "subqueries")
 
     def __init__(self, clause: str, subqueries: dict[str, "ClauseMap"]):
-        named = _PLACEHOLDER_RE.findall(clause)
+        named = [m for m in _PLACEHOLDER_RE.findall(clause) if m[0] not in "'\""]
         if len(named) != len(set(named)):
             raise MapError(f"placeholder repeated in clause text: {clause!r}")
         expected = [f"subquery{i}" for i in range(len(named))]
@@ -171,6 +172,8 @@ def entry_value_sql(entry: Entry) -> str:
 
 def _inline_placeholders(entry: Composite) -> str:
     def repl(match):
+        if match.group(0)[0] in "'\"":
+            return match.group(0)
         sub = entry.subqueries.get(match.group(0))
         if sub is None:
             raise MapError(f"dangling placeholder {match.group(0)!r}")

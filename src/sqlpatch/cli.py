@@ -56,10 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def add_schema(p, required=True):
+    def add_schema(p):
         p.add_argument("--schema", default=os.environ.get("SQLPATCH_SCHEMA"),
                        help="path to a Spider-layout tables.json "
                             "(default: $SQLPATCH_SCHEMA)")
+
+    def add_schema_db_id(p, required=True):
+        add_schema(p)
         p.add_argument("--db-id", required=required, help="database id within the schema file")
 
     def add_db_dir(p):
@@ -71,11 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help=f"{what} (default: stdin)")
 
     p = cmd("normalize", "normalize one SQL query to canonical text", _cmd_normalize)
-    add_schema(p)
+    add_schema_db_id(p)
     add_input(p, "file with one SQL query")
 
     p = cmd("pydict", "print the clause-dictionary text of one SQL query", _cmd_pydict)
-    add_schema(p)
+    add_schema_db_id(p)
     p.add_argument("--pretty", action="store_true", help="indent for human inspection")
     add_input(p, "file with one SQL query")
 
@@ -83,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p, "file with clause-dictionary text")
 
     p = cmd("diff", "compute edits turning the wrong query into the gold query", _cmd_diff)
-    add_schema(p)
+    add_schema_db_id(p)
     p.add_argument("--granularity", required=True, choices=list(ds.REPRESENTATIONS))
     p.add_argument("--wrong", required=True, help="file with the wrong SQL query")
     p.add_argument("--gold", required=True, help="file with the gold SQL query")
@@ -96,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p, "edit actions")
 
     p = cmd("apply", "apply an edit script to a query", _cmd_apply)
-    add_schema(p, required=False)
+    add_schema_db_id(p, required=False)
     p.add_argument("--granularity", required=True, choices=list(GRANULARITIES))
     p.add_argument("--wrong", required=True, help="file with the query to patch")
     p.add_argument("--edits", required=True, help="file with marker-format edits")
@@ -104,12 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print the full JSON report (token granularity)")
 
     p = cmd("exec-program", "run an edit program against a query", _cmd_exec_program)
-    add_schema(p, required=False)
+    add_schema_db_id(p, required=False)
     p.add_argument("--wrong", required=True, help="file with the query to patch")
     p.add_argument("--program", required=True, help="file with the edit program")
 
     p = cmd("eval", "exact set match / execution match over JSONL pairs", _cmd_eval)
-    add_schema(p, required=False)
+    add_schema(p)
     add_db_dir(p)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes")
@@ -119,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p, 'JSONL records {"a": bool, "b": bool}')
 
     p = cmd("synth", "synthesize error-correction records from beam outputs", _cmd_synth)
-    add_schema(p, required=False)
+    add_schema(p)
     add_db_dir(p)
     p.add_argument("--query-rep", default="pydict", choices=list(ds.QUERY_REPS))
     p.add_argument("--edit-rep", default="program", choices=list(ds.EDIT_REPS))
@@ -147,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("simulate", "run the interactive-correction protocol over records",
             _cmd_simulate)
-    add_schema(p, required=False)
+    add_schema(p)
     p.add_argument("--generator", default="oracle",
                    choices=["oracle", "noisy", "adversarial"],
                    help="built-in generator (ignored with --generator-cmd)")

@@ -22,7 +22,7 @@ from .nodes import Query
 from .program import Assign, EditProgram, Pop
 from .pydict import render_entry_fragment
 from .render import render_tokens
-from .tokens import detokenize, tokenize
+from .tokens import detokenize
 
 MapLike = Union[Query, ClauseMap]
 
@@ -33,18 +33,12 @@ def _as_map(value: MapLike) -> ClauseMap:
     return value
 
 
-def _as_tokens(value) -> list[str]:
-    if isinstance(value, Query):
-        return render_tokens(value)
-    return [t.text for t in tokenize(value)]
-
-
 # ---------------------------------------------------------------------------
 # Token level
 
 
-def diff_tokens(wrong, gold) -> EditScript:
-    ops = _lcs_ops(_as_tokens(wrong), _as_tokens(gold))
+def diff_tokens(wrong: Query, gold: Query) -> EditScript:
+    ops = _lcs_ops(render_tokens(wrong), render_tokens(gold))
     actions: list[EditAction] = []
     deleted: list[str] = []
     inserted: list[str] = []

@@ -24,7 +24,7 @@ from .errors import DatasetError, SqlPatchError
 from .program import EditProgram, render_program
 
 EXIT_WAIT_S = 10  # how long close() waits for an external generator to exit
-READ_WAIT_S = 60  # how long propose() waits for each response line
+READ_WAIT_S = 60  # how long propose() waits to send a request and read its response
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ class SubprocessGenerator:
     """Attach an external generator over line-delimited JSON on its stdio:
     request ``{"x", "prefix", "beam_size"}``, response
     ``{"candidates": [{"actions": [...], "final_query": "..."}]}``, both in
-    UTF-8. A response line that takes longer than READ_WAIT_S seconds is an
-    error, and the generator is killed."""
+    UTF-8. A request and its response line that together take longer than
+    READ_WAIT_S seconds are an error, and the generator is killed."""
 
     def __init__(self, cmd: Sequence[str]):
         import subprocess
@@ -185,17 +185,13 @@ class SubprocessGenerator:
                                          stdout=subprocess.PIPE)
         except OSError as exc:
             raise SqlPatchError(f"cannot start external generator: {exc}") from None
+        os.set_blocking(self.proc.stdin.fileno(), False)
         self._pending = bytearray()  # bytes read past the last response line
 
     def propose(self, x: str, prefix: Sequence[str], beam_size: int) -> list[Candidate]:
         request = json.dumps({"x": x, "prefix": list(prefix), "beam_size": beam_size},
                              ensure_ascii=False)
-        try:
-            self.proc.stdin.write((request + "\n").encode("utf-8"))
-            self.proc.stdin.flush()
-        except BrokenPipeError:
-            raise SqlPatchError("external generator closed its input stream") from None
-        line = self._read_line()
+        line = self._exchange((request + "\n").encode("utf-8"))
         if not line:
             raise SqlPatchError("external generator closed its output stream")
         try:
@@ -212,29 +208,43 @@ class SubprocessGenerator:
         return [Candidate(tuple(c.get("actions", ())), c.get("final_query", ""))
                 for c in entries]
 
-    def _read_line(self) -> bytes:
-        """The next line of the generator's output, with its line feed; at
-        the end of the stream, what is left (b"" when nothing is). A text
-        readline cannot be interrupted, so the pipe is read through a
-        selector into _pending, each wait bounded by what is left of
-        READ_WAIT_S."""
+    def _exchange(self, request: bytes) -> bytes:
+        """Write request to the generator and return the next line of its
+        output, with its line feed; at the end of the output, what is left
+        (b"" when nothing is). A blocking write or readline cannot be
+        interrupted, so one selector drives the write to the non-blocking
+        input and the reads into _pending, each wait bounded by what is left
+        of READ_WAIT_S."""
         import selectors
 
         deadline = time.monotonic() + READ_WAIT_S
-        fd = self.proc.stdout.fileno()
+        stdin, stdout = self.proc.stdin.fileno(), self.proc.stdout.fileno()
+        unsent = memoryview(request)
+        ended = False
         with selectors.DefaultSelector() as selector:
-            selector.register(fd, selectors.EVENT_READ)
-            while b"\n" not in self._pending:
+            selector.register(stdin, selectors.EVENT_WRITE)
+            selector.register(stdout, selectors.EVENT_READ)
+            while not ended and (unsent or b"\n" not in self._pending):
                 left = deadline - time.monotonic()
-                if left <= 0 or not selector.select(left):
+                ready = selector.select(left) if left > 0 else []
+                if not ready:
                     self.proc.kill()
                     self.proc.wait()
                     raise SqlPatchError("external generator did not answer within "
                                         f"{READ_WAIT_S} s")
-                chunk = os.read(fd, 65536)
-                if not chunk:
-                    break
-                self._pending += chunk
+                for key, _ in ready:
+                    if key.fd == stdout:
+                        chunk = os.read(stdout, 65536)
+                        self._pending += chunk
+                        ended = not chunk
+                    else:
+                        try:
+                            unsent = unsent[os.write(stdin, unsent):]
+                        except BrokenPipeError:
+                            raise SqlPatchError("external generator closed its input "
+                                                "stream") from None
+                        if not unsent:
+                            selector.unregister(stdin)
         end = self._pending.find(b"\n") + 1 or len(self._pending)
         line = bytes(self._pending[:end])
         del self._pending[:end]
@@ -268,19 +278,3 @@ class SubprocessGenerator:
         except SqlPatchError:
             if exc_type is None:
                 raise  # else the error that ended the session is the one reported
-
-
-def serve_generator(generator: GeneratorAdapter, instream, outstream) -> None:
-    """Host a generator on a stream pair speaking the wire protocol above."""
-    for line in instream:
-        line = line.strip()
-        if not line:
-            continue
-        request = json.loads(line)
-        candidates = generator.propose(request["x"], request.get("prefix", []),
-                                       int(request.get("beam_size", 3)))
-        outstream.write(json.dumps({
-            "candidates": [{"actions": list(c.actions), "final_query": c.final_query}
-                           for c in candidates]
-        }, ensure_ascii=False) + "\n")
-        outstream.flush()

@@ -124,7 +124,8 @@ class ExecBackend(Protocol):
 
 
 class SqliteBackend:
-    """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite``.
+    """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite`` (or
+    ``.db``, ``.sqlite3``); no other file is opened.
 
     Holds one read-only connection per database, opened on first use, until
     close() or until the backend is collected. Statements that would change
@@ -153,10 +154,6 @@ class SqliteBackend:
             candidate = base / f"{db_id}{ext}"
             if candidate.exists():
                 return candidate
-        if base.is_dir():
-            found = sorted(base.glob(f"{db_id}.*"))
-            if found:
-                return found[0]
         raise BackendUnavailable(f"no database file for {db_id!r} under {self.db_dir}")
 
     def _connection(self, db_id: str) -> sqlite3.Connection:
@@ -203,12 +200,12 @@ def _read_only(action, arg1, arg2, db_name, trigger) -> int:
 
 
 def execution_match(pred: str, gold: str, db_id: str, backend: ExecBackend,
-                    gold_ordered: Optional[bool] = None) -> bool:
+                    gold_ordered: bool) -> bool:
     """True iff both queries run and produce the same rows: compared as
-    multisets, or as ordered sequences when the gold query orders its
-    result (read from the gold text when gold_ordered is not given).
-    Identical texts run once. A query that errors yields False; an
-    unavailable backend raises instead of producing a verdict."""
+    multisets, or as ordered sequences when gold_ordered says the gold
+    query orders its result (see orders_result). Identical texts run once.
+    A query that errors yields False; an unavailable backend raises
+    instead of producing a verdict."""
     try:
         gold_rows = backend.execute(gold, db_id)
         if pred == gold:
@@ -216,8 +213,6 @@ def execution_match(pred: str, gold: str, db_id: str, backend: ExecBackend,
         pred_rows = backend.execute(pred, db_id)
     except ExecutionError:
         return False
-    if gold_ordered is None:
-        gold_ordered = has_top_level_order(gold)
     a = [_norm_row(r) for r in pred_rows]
     b = [_norm_row(r) for r in gold_rows]
     if gold_ordered:
@@ -237,22 +232,6 @@ def orders_result(query: Query) -> bool:
         if query.order_by:
             return True
         query = query.set_op.right if query.set_op else None
-    return False
-
-
-def has_top_level_order(sql: str) -> bool:
-    """True iff the query orders its result: an ORDER BY outside every
-    parenthesis."""
-    from .tokens import tokenize
-
-    depth = 0
-    for tok in tokenize(sql):
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif depth == 0 and tok.text == "order":
-            return True
     return False
 
 

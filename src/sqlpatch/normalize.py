@@ -21,7 +21,6 @@ from .nodes import (
     Literal, Query, ValueList, ValUnit,
 )
 from .schema import SchemaInfo
-from .traverse import visible_tables
 
 
 def normalize(query: Query, schema: SchemaInfo) -> Query:
@@ -127,6 +126,13 @@ class _Scope:
             raise NormalizeError(f"column {column!r} is ambiguous across tables {owners}")
         where = f" in {sorted(tables)}" if qualified else ""
         raise ParseError(f"unknown column {column!r}{where}")
+
+
+def visible_tables(query: Query) -> set[str]:
+    """Real table names a query's columns can resolve against."""
+    if query.from_clause.subquery is not None:
+        return visible_tables(query.from_clause.subquery)
+    return {jt.table for jt in query.from_clause.tables}
 
 
 def _val(val: ValUnit, scope: _Scope) -> None:

@@ -83,7 +83,13 @@ def load_tables_json(path) -> dict[str, SchemaInfo]:
     if not isinstance(data, list):
         raise SchemaError("tables.json must contain a JSON array of schema objects")
     store = {}
-    for entry in data:
-        info = schema_from_entry(entry)
+    for i, entry in enumerate(data):
+        try:
+            info = schema_from_entry(entry)
+        except (SchemaError, KeyError, TypeError, AttributeError, ValueError) as exc:
+            db_id = entry.get("db_id") if isinstance(entry, dict) else None
+            name = "" if db_id is None else f" ({db_id!r})"
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise SchemaError(f"tables.json entry {i}{name}: {detail}") from None
         store[info.db_id] = info
     return store

@@ -46,7 +46,7 @@ def exec_program(cm: ClauseMap, program: EditProgram) -> ClauseMap:
 
 
 def _exec_assign(root: ClauseMap, stmt: Assign) -> None:
-    container = _descend(root, stmt.path[:-1], stmt)
+    container = _descend(root, stmt.path[:-1])
     key = stmt.path[-1]
     if isinstance(container, ClauseMap):
         try:
@@ -58,11 +58,11 @@ def _exec_assign(root: ClauseMap, stmt: Assign) -> None:
             raise ExecError(
                 f"cannot assign {_fmt(stmt.path)}: placeholder {key!r} is not "
                 f"referenced by the clause text")
-        container.subqueries[key] = _subquery_map(stmt.value, stmt)
+        container.subqueries[key] = _subquery_map(stmt.value)
 
 
 def _exec_pop(root: ClauseMap, stmt: Pop) -> None:
-    container = _descend(root, stmt.path, stmt)
+    container = _descend(root, stmt.path)
     if isinstance(container, Composite):
         raise ExecError(
             f"cannot pop {stmt.key!r} from {_fmt(stmt.path)}: the clause text "
@@ -72,7 +72,7 @@ def _exec_pop(root: ClauseMap, stmt: Pop) -> None:
     container.pop(stmt.key)
 
 
-def _descend(root: ClauseMap, path, stmt):
+def _descend(root: ClauseMap, path):
     node = root
     for i, key in enumerate(path):
         if isinstance(node, ClauseMap):
@@ -94,14 +94,14 @@ def _descend(root: ClauseMap, path, stmt):
 
 def _entry_from_value(key: str, value: str) -> Entry:
     if key in SET_OP_KEYS or key.startswith("subquery"):
-        return _subquery_map(value, None)
+        return _subquery_map(value)
     try:
         return entry_from_clause_text(key, value)
     except MapError as exc:
         raise ExecError(str(exc)) from None
 
 
-def _subquery_map(value: str, stmt) -> ClauseMap:
+def _subquery_map(value: str) -> ClauseMap:
     try:
         return sql_to_clause_map(value)
     except Exception as exc:

@@ -23,8 +23,8 @@ from sqlpatch.nodes import (
     BoolOp, ColumnRef, ColUnit, Condition, FromClause, JoinedTable, Literal,
     OrderItem, Query, Select, SelectItem, SetOp, ValUnit,
 )
+from sqlpatch.normalize import visible_tables
 from sqlpatch.schema import SchemaInfo
-from sqlpatch.traverse import visible_tables
 from sqlpatch.vm import apply_clause_edits
 
 AGGS = ("max", "min", "count", "sum", "avg")

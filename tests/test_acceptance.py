@@ -23,7 +23,7 @@ from sqlpatch.diffs import (
 from sqlpatch.editscript import parse_edits, render_edits
 from sqlpatch.interact import OracleGenerator, simulate
 from sqlpatch.metrics import SqliteBackend, exact_set_match, mcnemar_counts
-from sqlpatch.nodes import Query
+from sqlpatch.nodes import Condition, Query
 from sqlpatch.parse import parse_sql
 from sqlpatch.program import parse_program, render_program
 from sqlpatch.pydict import parse_pydict, render_pydict
@@ -58,12 +58,34 @@ def test_criterion_1_fixture_byte_exactness(schemas):
     _ok(1, f"3 fixture pairs x 8 representation cells byte-exact in {elapsed:.3f}s")
 
 
+def _iter_conditions(expr):
+    if expr is None:
+        return
+    if isinstance(expr, Condition):
+        yield expr
+        return
+    for arg in expr.args:
+        yield from _iter_conditions(arg)
+
+
+def _iter_child_queries(query: Query):
+    """Directly nested queries: condition subqueries, FROM subquery, set-op right."""
+    if query.from_clause.subquery is not None:
+        yield query.from_clause.subquery
+    for expr in (query.where, query.having):
+        for cond in _iter_conditions(expr):
+            for operand in (cond.right, cond.right2):
+                if isinstance(operand, Query):
+                    yield operand
+    if query.set_op is not None:
+        yield query.set_op.right
+
+
 def _string_literals(query: Query) -> list[str]:
     from sqlpatch.nodes import Literal, ValueList
-    from sqlpatch.traverse import iter_child_queries, iter_conditions
 
     out = []
-    conds = list(iter_conditions(query.where)) + list(iter_conditions(query.having))
+    conds = list(_iter_conditions(query.where)) + list(_iter_conditions(query.having))
     for jt in query.from_clause.tables:
         conds.extend(jt.conds)
     for cond in conds:
@@ -72,7 +94,7 @@ def _string_literals(query: Query) -> list[str]:
                 out.append(operand.text)
             elif isinstance(operand, ValueList):
                 out.extend(v.text for v in operand.items if v.kind == "string")
-    for child in iter_child_queries(query):
+    for child in _iter_child_queries(query):
         out.extend(_string_literals(child))
     return sorted(out)
 

@@ -11,7 +11,7 @@ from sqlpatch.clausemap import (
 )
 from sqlpatch.errors import MapError
 from sqlpatch.parse import parse_sql
-from sqlpatch.pydict import render_pydict
+from sqlpatch.pydict import parse_pydict, render_pydict
 
 
 def test_decompose_simple(schemas):
@@ -95,6 +95,18 @@ def test_composite_placeholder_validation():
         Composite("where a > (subquery1)", {"subquery1": ClauseMap()})
     with pytest.raises(MapError):
         Composite("where a > (subquery0)", {})
+
+
+@pytest.mark.parametrize("value", ["'subquery0'", "'a subquery1 b'", '"subquery0"'])
+def test_placeholder_text_inside_a_string_literal_is_a_value(schemas, value):
+    sql = (f"select tweets.id from tweets where tweets.text = {value} "
+           "and tweets.uid in (select tweets.uid from tweets)")
+    cm = decompose(parse_sql(sql, schemas["social"]))
+    assert cm.get("where").clause == \
+        f"where tweets.text = {value} and tweets.uid in (subquery0)"
+    assert parse_pydict(render_pydict(cm)) == cm
+    assert sql_to_clause_map(sql) == cm
+    assert to_sql(cm) == sql
 
 
 def test_entry_from_clause_text_extracts_subquery():

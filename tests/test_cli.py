@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from mockbeams import build_mock_beams
-from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS
+from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS, TABLES_JSON
 
 from sqlpatch.dataset import synthesize_train
 
@@ -332,6 +332,46 @@ def test_schema_file_that_is_not_json_is_a_domain_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _broken(**fields):
+    return {**TABLES_JSON[0], "db_id": "broken", **fields}
+
+
+@pytest.mark.parametrize("entry,error", [
+    ({"tables": []}, ": missing field 'db_id'"),
+    (5, ": 'int' object is not subscriptable"),
+    (_broken(column_names_original=[[0, 5]]),
+     " ('broken'): 'int' object has no attribute 'lower'"),
+    (_broken(foreign_keys=[[0]]),
+     " ('broken'): not enough values to unpack (expected 2, got 1)")])
+def test_malformed_schema_entry_is_a_domain_error(tmp_path, entry, error):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(TABLES_JSON + [entry]), encoding="utf-8")
+    proc = run_cli(["normalize", "--schema", str(path), "--db-id", "social"], stdin=_SQL)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: tables.json entry {len(TABLES_JSON)}{error}\n"
+
+
+@pytest.mark.parametrize("command", ["normalize", "pydict", "diff", "apply", "exec-program",
+                                     "eval", "synth", "simulate"])
+def test_only_single_query_commands_take_a_db_id(schema_flag, command):
+    takes = command not in ("eval", "synth", "simulate")
+    assert ("--db-id" in run_cli([command, "--help"]).stdout) is takes
+    if not takes:
+        proc = run_cli([command, *schema_flag, "--db-id", "social"])
+        assert proc.returncode == 2
+        assert proc.stderr.endswith("error: unrecognized arguments: --db-id\n")
+
+
+def test_eval_opens_no_file_but_a_database(schema_flag, tmp_path):
+    (tmp_path / "social").mkdir()
+    (tmp_path / "social" / "social.json").write_text("{}", encoding="utf-8")
+    proc = run_cli(["eval", *schema_flag, "--db-dir", str(tmp_path)],
+                   stdin=json.dumps(_GOOD_LINES["eval"]))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: line 1: no database file for 'social' under {tmp_path}\n"
 
 
 def test_render_edits_skips_blank_lines():

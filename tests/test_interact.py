@@ -2,6 +2,7 @@ import json
 import signal
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -207,12 +208,18 @@ def test_subprocess_generator_running_past_its_input_is_killed(monkeypatch):
     assert generator.proc.returncode == -signal.SIGKILL  # killed and reaped
 
 
-def test_subprocess_generator_that_does_not_answer_is_killed(monkeypatch):
+# a generator that reads its request and never answers, and one that never
+# reads a request larger than the pipe buffer
+@pytest.mark.parametrize("child,x", [
+    ("import sys, time; sys.stdin.readline(); time.sleep(60)", "x"),
+    ("import time; time.sleep(60)", "x" * 1_000_000)], ids=["answer", "request"])
+def test_subprocess_generator_that_does_not_answer_is_killed(monkeypatch, child, x):
     monkeypatch.setattr(interact, "READ_WAIT_S", 0.2)
-    generator = SubprocessGenerator(
-        [sys.executable, "-c", "import sys, time; sys.stdin.readline(); time.sleep(60)"])
+    generator = SubprocessGenerator([sys.executable, "-c", child])
+    start = time.monotonic()
     with pytest.raises(SqlPatchError, match=r"did not answer within 0\.2 s"):
-        generator.propose("x", [], 1)
+        generator.propose(x, [], 1)
+    assert time.monotonic() - start < 5
     assert generator.proc.returncode == -signal.SIGKILL  # killed and reaped
     generator.close()
 
@@ -266,17 +273,3 @@ def test_subprocess_generator_response_that_is_not_utf8_is_a_domain_error():
         with pytest.raises(SqlPatchError, match="external generator response: 'utf-8' codec"):
             generator.propose("x", [], 1)
 
-
-def test_serve_generator_round_trip(schemas):
-    import io
-
-    from sqlpatch.interact import serve_generator
-
-    gold = gold_program(CASE_TWEETS, schemas)
-    generator = OracleGenerator(gold)
-    request = json.dumps({"x": "x", "prefix": [], "beam_size": 2})
-    out = io.StringIO()
-    serve_generator(generator, io.StringIO(request + "\n"), out)
-    response = json.loads(out.getvalue())
-    assert len(response["candidates"]) == 2
-    assert response["candidates"][0]["actions"] == gold_action_strings(gold)

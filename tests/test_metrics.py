@@ -8,11 +8,12 @@ from queryfuzz import QueryFuzzer
 
 from sqlpatch.errors import BackendUnavailable, ExecutionError
 from sqlpatch.metrics import (
-    SqliteBackend, exact_set_match, execution_match, has_top_level_order, mcnemar,
-    mcnemar_counts, orders_result,
+    SqliteBackend, exact_set_match, execution_match, mcnemar, mcnemar_counts,
+    orders_result,
 )
 from sqlpatch.parse import parse_sql
 from sqlpatch.render import render
+from sqlpatch.tokens import tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +145,28 @@ def test_equal_canonical_text_implies_exact_set_match(schemas):
 def test_ex_identical_queries(db_dir):
     backend = SqliteBackend(db_dir)
     sql = "select employee.name from employee"
-    assert execution_match(sql, sql, "hr", backend) is True
+    assert execution_match(sql, sql, "hr", backend, gold_ordered=False) is True
 
 
 def test_ex_semantically_equal_but_textually_different(db_dir):
     backend = SqliteBackend(db_dir)
     pred = "select employee.name from employee where employee.age > 0"
     gold = "select employee.name from employee"
-    assert execution_match(pred, gold, "hr", backend) is True
+    assert execution_match(pred, gold, "hr", backend, gold_ordered=False) is True
 
 
 def test_ex_database_error_is_false(db_dir):
     backend = SqliteBackend(db_dir)
     assert execution_match("select nope from employee",
-                           "select employee.name from employee", "hr", backend) is False
+                           "select employee.name from employee", "hr", backend,
+                           gold_ordered=False) is False
 
 
 def test_ex_row_order_ignored_when_gold_unordered(db_dir):
     backend = SqliteBackend(db_dir)
     pred = "select employee.name from employee order by employee.age"
     gold = "select employee.name from employee"
-    assert execution_match(pred, gold, "hr", backend) is True
+    assert execution_match(pred, gold, "hr", backend, gold_ordered=False) is True
 
 
 def test_ex_order_enforced_when_gold_ordered(db_dir):
@@ -172,7 +174,7 @@ def test_ex_order_enforced_when_gold_ordered(db_dir):
     pred = "select employee.name from employee order by employee.age"
     gold = "select employee.name from employee order by employee.name"
     # same rows, different order: the gold query fixes the order
-    assert execution_match(pred, gold, "hr", backend) is False
+    assert execution_match(pred, gold, "hr", backend, gold_ordered=True) is False
 
 
 def test_ex_order_respected_when_gold_ordered(db_dir):
@@ -187,13 +189,21 @@ def test_ex_numeric_comparison(db_dir):
     backend = SqliteBackend(db_dir)
     pred = "select cast(quantity as real) from orders"
     gold = "select quantity from orders"
-    assert execution_match(pred, gold, "shop", backend) is True
+    assert execution_match(pred, gold, "shop", backend, gold_ordered=False) is True
 
 
 def test_ex_missing_database_raises(db_dir):
     backend = SqliteBackend(db_dir)
     with pytest.raises(BackendUnavailable):
         backend.execute("select 1", "nonexistent")
+
+
+@pytest.mark.parametrize("ext", [".db", ".sqlite3"])
+def test_backend_finds_the_other_database_file_names(tmp_path, ext):
+    (tmp_path / "other").mkdir()
+    sqlite3.connect(tmp_path / "other" / f"other{ext}").close()
+    with SqliteBackend(tmp_path) as backend:
+        assert backend.execute("select 1", "other") == [(1,)]
 
 
 def test_backend_is_read_only(db_dir):
@@ -297,8 +307,22 @@ class _CountingBackend:
 def test_ex_identical_texts_execute_once(db_dir, sql, expected):
     with SqliteBackend(db_dir) as sqlite:
         counting = _CountingBackend(sqlite)
-        assert execution_match(sql, sql, "hr", counting) is expected
+        assert execution_match(sql, sql, "hr", counting, gold_ordered=False) is expected
         assert counting.calls == 1
+
+
+def _has_top_level_order(sql: str) -> bool:
+    """The reference the AST's order flag is checked against: an ORDER BY
+    outside every parenthesis of the query text."""
+    depth = 0
+    for tok in tokenize(sql):
+        if tok.text == "(":
+            depth += 1
+        elif tok.text == ")":
+            depth -= 1
+        elif depth == 0 and tok.text == "order":
+            return True
+    return False
 
 
 def test_order_flag_from_the_ast_matches_the_text_scan(schemas):
@@ -307,7 +331,7 @@ def test_order_flag_from_the_ast_matches_the_text_scan(schemas):
     for _ in range(2000):
         _, query = fuzzer.query()
         flag = orders_result(query)
-        assert flag == has_top_level_order(render(query)), render(query)
+        assert flag == _has_top_level_order(render(query)), render(query)
         chained = query.set_op is not None
         seen.add((chained, flag, chained and bool(query.set_op.right.order_by)))
     assert {(True, True, True), (True, True, False), (True, False, False),
