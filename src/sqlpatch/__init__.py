@@ -16,7 +16,7 @@ from .interact import (
 )
 from .metrics import (
     EvalOutcome, McNemarResult, SqliteBackend, exact_set_match, execution_match,
-    mcnemar, mcnemar_counts,
+    mcnemar, mcnemar_counts, query_rows,
 )
 from .nodes import Query
 from .normalize import normalize
@@ -41,8 +41,8 @@ __all__ = [
     "diff_clauses_sql", "diff_program", "diff_tokens", "entry_sql",
     "exact_set_match", "exec_program", "execution_match", "load_tables_json",
     "mcnemar", "mcnemar_counts", "normalize", "parse", "parse_edits",
-    "parse_program", "parse_pydict", "parse_sql", "render", "render_edits",
-    "render_program", "render_pydict", "schema_from_entry", "serialize_example",
-    "simulate", "split_folds", "sql_to_clause_map", "synthesize_train",
-    "to_sql", "tokenize",
+    "parse_program", "parse_pydict", "parse_sql", "query_rows", "render",
+    "render_edits", "render_program", "render_pydict", "schema_from_entry",
+    "serialize_example", "simulate", "split_folds", "sql_to_clause_map",
+    "synthesize_train", "to_sql", "tokenize",
 ]

@@ -23,10 +23,9 @@ from .errors import DatasetError, SchemaError, SqlPatchError
 from .interact import OracleGenerator, SubprocessGenerator, simulate
 from .metrics import (
     EvalOutcome, SqliteBackend, exact_set_match, execution_match, mcnemar_counts,
-    orders_result,
+    orders_result, query_rows,
 )
 from .parse import parse_sql
-from .program import parse_program
 from .pydict import parse_pydict, render_pydict
 from .render import render
 from .schema import load_tables_json
@@ -106,10 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true",
                    help="print the full JSON report (token granularity)")
 
-    p = cmd("exec-program", "run an edit program against a query", _cmd_exec_program)
+    p = cmd("exec-program", "run an edit program against a query", _cmd_apply)
     add_schema_db_id(p, required=False)
     p.add_argument("--wrong", required=True, help="file with the query to patch")
-    p.add_argument("--program", required=True, help="file with the edit program")
+    p.add_argument("--program", dest="edits", metavar="PROGRAM", required=True,
+                   help="file with the edit program")
+    p.set_defaults(granularity="program", report=False)
 
     p = cmd("eval", "exact set match / execution match over JSONL pairs", _cmd_eval)
     add_schema(p)
@@ -311,26 +312,20 @@ def _edit_action(line) -> EditAction:
 
 
 def _cmd_apply(args, parser) -> int:
-    wrong_text = _read(args.wrong).strip()
-    script = parse_edits(_read(args.edits), args.granularity)
-    if args.granularity == "token":
-        report = apply_token_edits(wrong_text, script)
-        if args.report:
-            print(json.dumps({"result": report.result,
-                              "ambiguous_spans": report.ambiguous_spans,
-                              "skipped": report.skipped}, ensure_ascii=False))
-        else:
-            print(report.result)
-        return 0
-    rep = ds.REPRESENTATIONS[args.granularity]
-    print(rep.apply(_canonical(wrong_text, args, parser), script.actions))
-    return 0
-
-
-def _cmd_exec_program(args, parser) -> int:
+    """apply and exec-program: the --wrong query, made canonical as
+    _canonical says, with the edits applied; with --report, the token
+    applier's report."""
+    if args.report and args.granularity != "token":
+        parser.error("--report requires --granularity token")
     wrong_sql = _canonical(_read(args.wrong).strip(), args, parser)
-    program = parse_program(_read(args.program))
-    print(ds.REPRESENTATIONS["program"].apply(wrong_sql, program.stmts))
+    rep = ds.REPRESENTATIONS[args.granularity]
+    edits = rep.parse_edits(_read(args.edits))
+    if args.report:
+        applied = apply_token_edits(wrong_sql, edits)
+        print(json.dumps({"result": applied.result, "ambiguous_spans": applied.ambiguous_spans,
+                          "skipped": applied.skipped}, ensure_ascii=False))
+    else:
+        print(rep.apply(wrong_sql, edits))
     return 0
 
 
@@ -350,8 +345,10 @@ def _eval_line(line, schemas, backend):
     gold = parse_sql(gold_text, schema)
     ex = None
     if backend is not None:
-        ex = execution_match(render(pred), render(gold), db_id, backend,
-                             gold_ordered=orders_result(gold))
+        pred_sql, gold_sql = render(pred), render(gold)
+        gold_rows = query_rows(backend, gold_sql, db_id)
+        pred_rows = gold_rows if pred_sql == gold_sql else query_rows(backend, pred_sql, db_id)
+        ex = execution_match(pred_rows, gold_rows, orders_result(gold))
     return EvalOutcome(exact_set_match(pred, gold), ex)
 
 
@@ -443,6 +440,8 @@ def _cmd_simulate(args, parser) -> int:
         parser.error("--seed is required for the noisy generator")
     if args.generator_cmd is not None and not args.generator_cmd.split():
         parser.error("--generator-cmd names no program")
+    if args.beam_size < 1:
+        parser.error("--beam-size must be at least 1")
     schemas = _load_schema(args, parser)
     external = SubprocessGenerator(args.generator_cmd.split()) if args.generator_cmd else None
     with external or nullcontext():

@@ -12,14 +12,16 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, get_type_hints
 
 from .clausemap import CLAUSE_INDEX, decompose, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
 from .editscript import EditScript, parse_edits, render_edits
-from .errors import DatasetError, ExecutionError, SqlPatchError
-from .metrics import ExecBackend, exact_set_match, execution_match, orders_result
+from .errors import DatasetError, SqlPatchError
+from .metrics import (
+    ExecBackend, exact_set_match, execution_match, orders_result, query_rows,
+)
 from .parse import parse_sql
 from .program import EditProgram, Pop, parse_program, render_program
 from .pydict import render_pydict
@@ -303,32 +305,26 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
         schema = schemas.get(output.db_id)
         if schema is None:
             raise DatasetError(f"schema missing for db_id {output.db_id!r}")
+        run = None if backend is None else partial(query_rows, backend, db_id=output.db_id)
         try:
-            gold = _Query(parse_sql(output.gold_sql, schema))
+            gold = _Query(parse_sql(output.gold_sql, schema), run)
         except SqlPatchError as exc:
             raise DatasetError(
                 f"gold query does not parse for {output.db_id!r}: {exc}") from None
-        rows = gold_ordered = None
-        if backend is not None:
-            rows = _RowMemo(backend)  # per question, so the rows kept never pile up
-            gold_ordered = orders_result(gold.ast)
-        seen: set[str] = set()
+        seen = {gold.sql}  # an entry equal to the gold is correct under either policy
         for rank, (beam_sql, score) in enumerate(output.beam):
             try:
-                wrong = _Query(parse_sql(beam_sql, schema))
+                wrong = _Query(parse_sql(beam_sql, schema), run)
             except SqlPatchError:
                 continue  # ungrammatical parses never enter the data
             if wrong.sql in seen:
                 continue
             seen.add(wrong.sql)
-            if rows is not None:
-                try:
-                    rows.execute(wrong.sql, output.db_id)
-                except ExecutionError:
-                    continue  # non-executable parses are dropped too
-            em = wrong.sql == gold.sql or exact_set_match(wrong.ast, gold.ast)
-            ex = em if rows is None else execution_match(  # no backend: EM alone judges
-                wrong.sql, gold.sql, output.db_id, rows, gold_ordered=gold_ordered)
+            if run is not None and wrong.rows is None:
+                continue  # non-executable parses are dropped too
+            em = exact_set_match(wrong.ast, gold.ast)
+            ex = em if run is None else execution_match(  # no backend: EM alone judges
+                wrong.rows, gold.rows, orders_result(gold.ast))
             if (em and ex) if policy == "either" else (em or ex):
                 continue  # correct parses never enter the data
             for query_rep, edit_rep in reps:
@@ -340,11 +336,14 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
 
 
 class _Query:
-    """One parsed query of a question: its AST, with its canonical text and
-    its clause map each made the first time it is read."""
+    """One parsed query of a question: its AST, with its canonical text, its
+    clause map and its rows each made the first time it is read. The rows
+    need run, query_rows bound to the question's backend and database, and
+    are None when the database rejects the query."""
 
-    def __init__(self, ast):
+    def __init__(self, ast, run=None):
         self.ast = ast
+        self.run = run
 
     @cached_property
     def sql(self) -> str:
@@ -354,27 +353,9 @@ class _Query:
     def clause_map(self):
         return decompose(self.ast)
 
-
-class _RowMemo:
-    """Runs each distinct query of one question, all on its database, once
-    on the backend and replays its outcome, the rows or the ExecutionError,
-    on every later call. BackendUnavailable is never kept: it is raised
-    again by every call."""
-
-    def __init__(self, backend: ExecBackend):
-        self.backend = backend
-        self.outcomes: dict[str, list[tuple] | ExecutionError] = {}
-
-    def execute(self, sql: str, db_id: str) -> list[tuple]:
-        if sql not in self.outcomes:
-            try:
-                self.outcomes[sql] = self.backend.execute(sql, db_id)
-            except ExecutionError as exc:
-                self.outcomes[sql] = exc
-        outcome = self.outcomes[sql]
-        if isinstance(outcome, ExecutionError):
-            raise outcome.with_traceback(None)
-        return outcome
+    @cached_property
+    def rows(self) -> Optional[list[tuple]]:
+        return self.run(self.sql)
 
 
 def make_record(output: ParserOutput, rank: int, score: float, schema: SchemaInfo,
@@ -437,7 +418,7 @@ def build_dev_set(records: list[ExampleRecord], n_dbs: int = 8,
     the highest-confidence wrong parse. Every record of a dev database
     leaves the train set, so no (db_id, question) pair leaks."""
     db_ids = sorted({r.db_id for r in records})
-    if n_dbs > len(db_ids):
+    if not 0 <= n_dbs <= len(db_ids):
         raise DatasetError(f"cannot sample {n_dbs} databases from {len(db_ids)}")
     rng = random.Random(seed)
     dev_dbs = set(rng.sample(db_ids, n_dbs))

@@ -199,20 +199,25 @@ def _read_only(action, arg1, arg2, db_name, trigger) -> int:
     return sqlite3.SQLITE_OK
 
 
-def execution_match(pred: str, gold: str, db_id: str, backend: ExecBackend,
-                    gold_ordered: bool) -> bool:
-    """True iff both queries run and produce the same rows: compared as
-    multisets, or as ordered sequences when gold_ordered says the gold
-    query orders its result (see orders_result). Identical texts run once.
-    A query that errors yields False; an unavailable backend raises
-    instead of producing a verdict."""
+def query_rows(backend: ExecBackend, sql: str, db_id: str) -> Optional[list[tuple]]:
+    """The rows a query returns, or None when the database rejects it; an
+    unavailable backend raises instead."""
     try:
-        gold_rows = backend.execute(gold, db_id)
-        if pred == gold:
-            return True
-        pred_rows = backend.execute(pred, db_id)
+        return backend.execute(sql, db_id)
     except ExecutionError:
+        return None
+
+
+def execution_match(pred_rows: Optional[list[tuple]], gold_rows: Optional[list[tuple]],
+                    gold_ordered: bool) -> bool:
+    """True iff both queries ran and returned the same rows: compared as
+    multisets, or as ordered sequences when gold_ordered says the gold
+    query orders its result (see orders_result). None stands for a query
+    the database rejected (see query_rows) and never matches."""
+    if pred_rows is None or gold_rows is None:
         return False
+    if pred_rows is gold_rows:  # one result read for both sides
+        return True
     a = [_norm_row(r) for r in pred_rows]
     b = [_norm_row(r) for r in gold_rows]
     if gold_ordered:

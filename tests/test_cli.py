@@ -130,6 +130,33 @@ def test_apply_token_report(tmp_path):
     assert report["result"] != CASE_TWEETS.gold
 
 
+@pytest.mark.parametrize("report", [False, True])
+def test_apply_token_normalizes_an_aliased_query_given_a_db_id(schema_flag, tmp_path, report):
+    wrong = tmp_path / "w.sql"
+    wrong.write_text("SELECT T.text FROM tweets AS T")
+    edits = tmp_path / "e.txt"
+    edits.write_text("<ReplaceOld> tweets.text <ReplaceNew> tweets.id <ReplaceEnd>")
+    proc = run_cli(["apply", *schema_flag, "--db-id", "social", "--granularity", "token",
+                    *(["--report"] if report else []), "--wrong", str(wrong),
+                    "--edits", str(edits)])
+    assert proc.returncode == 0, proc.stderr
+    if report:
+        assert json.loads(proc.stdout) == {"result": "select tweets.id from tweets",
+                                           "ambiguous_spans": 0, "skipped": 0}
+    else:
+        assert proc.stdout == "select tweets.id from tweets\n"
+
+
+@pytest.mark.parametrize("granularity", ["clause-sql", "clause-pydict"])
+def test_apply_report_needs_token_granularity(tmp_path, granularity):
+    wrong = tmp_path / "w.sql"
+    wrong.write_text(CASE_TWEETS.wrong)
+    proc = run_cli(["apply", "--granularity", granularity, "--report",
+                    "--wrong", str(wrong), "--edits", str(wrong)])
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--report requires --granularity token" in proc.stderr
+
+
 def test_exec_program(tmp_path):
     wrong = tmp_path / "w.sql"
     wrong.write_text(CASE_HR.wrong)
@@ -552,9 +579,33 @@ def test_simulate_generator_command_without_words_is_a_usage_error(schema_flag, 
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_simulate_beam_size_below_one_is_a_usage_error(schema_flag, schemas, tmp_path, size):
+    gen, started = tmp_path / "gen.py", tmp_path / "started"
+    gen.write_text(f"open({str(started)!r}, 'w').close()\n"
+                   "for request in open(0):\n"
+                   "    print('{\"candidates\": []}', flush=True)\n", encoding="utf-8")
+    record = json.dumps(_a_record(schemas)) + "\n"
+    for generator in (["--generator", "oracle"], ["--generator-cmd", f"{sys.executable} {gen}"]):
+        proc = run_cli(["simulate", *schema_flag, *generator, "--beam-size", size],
+                       stdin=record)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "--beam-size must be at least 1" in proc.stderr
+    assert not started.exists()
+
+
 def test_simulate_noisy_requires_seed(schema_flag):
     proc = run_cli(["simulate", *schema_flag, "--generator", "noisy"], stdin="")
     assert proc.returncode == 2
+
+
+def test_build_dev_negative_count_is_a_domain_error(schema_flag, schemas, tmp_path):
+    proc = run_cli(["build-dev", "--n-dbs", "-1", "--seed", "1",
+                    "--train-out", str(tmp_path / "train.jsonl"),
+                    "--dev-out", str(tmp_path / "dev.jsonl")],
+                   stdin=json.dumps(_a_record(schemas)) + "\n")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot sample -1 databases from 1\n"
 
 
 def test_build_dev_requires_seed():

@@ -117,46 +117,64 @@ class _LoggingBackend:
 
 
 @pytest.mark.parametrize("policy", ["either", "both"])
-def test_synthesis_runs_each_query_once_per_question(schemas, db_dir, policy, monkeypatch):
-    sqlite = SqliteBackend(db_dir)
-    logged = _LoggingBackend(sqlite)
-    records, executed = [], 0
+def test_synthesis_runs_each_query_once_per_question(schemas, db_dir, policy):
+    logged = _LoggingBackend(SqliteBackend(db_dir))
+    records = []
     for output in build_mock_beams():
         logged.calls.clear()
         records += synthesize_train([output], schemas, backend=logged, policy=policy)
         assert max(Counter(logged.calls).values()) == 1
-        executed += len(logged.calls)
-    # the same records when the check and both sides of EX all run the query
-    monkeypatch.setattr(dataset, "_RowMemo", lambda backend: backend)
-    unmemoized = _LoggingBackend(sqlite)
-    assert synthesize_train(build_mock_beams(), schemas, backend=unmemoized,
-                            policy=policy) == records
-    assert records and len(unmemoized.calls) > executed
+    assert records
 
 
-def test_row_memo_keeps_rejections_but_not_unavailability():
-    class Stub:
-        calls = 0
+class _StubBackend:
+    """Logs every query; raises what raises maps its text to, else returns
+    one row that every query shares."""
 
-        def execute(self, sql, db_id):
-            self.calls += 1
-            if sql == "gone":
-                raise BackendUnavailable("no database")
-            if sql == "bad":
-                raise ExecutionError("no such column")
-            return [(sql,)]
+    def __init__(self, raises=None):
+        self.raises = raises or {}
+        self.calls = []
 
-    stub = Stub()
-    memo = dataset._RowMemo(stub)
-    for _ in range(2):
-        assert memo.execute("good", "db") == [("good",)]
-        with pytest.raises(ExecutionError, match="no such column"):
-            memo.execute("bad", "db")
-    assert stub.calls == 2
-    for _ in range(2):
-        with pytest.raises(BackendUnavailable):
-            memo.execute("gone", "db")
-    assert stub.calls == 4
+    def execute(self, sql, db_id):
+        self.calls.append(sql)
+        if sql in self.raises:
+            raise self.raises[sql]
+        return [(1,)]
+
+
+_GOLD = "select tweets.id from tweets"
+_WRONG = ("select tweets.uid from tweets", "select tweets.text from tweets")
+
+
+def _stub_output(*beam):
+    return ParserOutput("social", "q", _GOLD, tuple((sql, 0.9 - i / 10)
+                                                    for i, sql in enumerate(beam)))
+
+
+def test_synthesis_runs_a_rejected_gold_once_and_scores_no_entry_ex(schemas):
+    stub = _StubBackend({_GOLD: ExecutionError("no such column")})
+    records = synthesize_train([_stub_output(*_WRONG)], schemas, backend=stub,
+                               policy="both", reps=[("sql", "clause")])
+    # every row matches, so a gold that ran would make both entries correct
+    assert [r.wrong_sql for r in records] == list(_WRONG)
+    assert Counter(stub.calls) == {_GOLD: 1, _WRONG[0]: 1, _WRONG[1]: 1}
+
+
+def test_synthesis_lets_an_unavailable_backend_raise(schemas):
+    stub = _StubBackend({_WRONG[0]: BackendUnavailable("no database")})
+    with pytest.raises(BackendUnavailable):
+        synthesize_train([_stub_output(*_WRONG)], schemas, backend=stub)
+
+
+def test_synthesis_never_runs_a_beam_entry_equal_to_the_gold(schemas):
+    stub = _StubBackend()
+    assert synthesize_train([_stub_output("SELECT id FROM tweets")], schemas,
+                            backend=stub) == []
+    assert stub.calls == []
+    records = synthesize_train([_stub_output("SELECT id FROM tweets", _WRONG[0])], schemas,
+                               backend=stub, reps=[("sql", "clause")])
+    assert [r.beam_rank for r in records] == [1]
+    assert stub.calls == [_WRONG[0], _GOLD]
 
 
 def test_correct_parses_never_enter(schemas):
@@ -346,6 +364,12 @@ def test_dev_set_too_many_dbs(schemas):
     records = _records(schemas)
     with pytest.raises(DatasetError):
         build_dev_set(records, n_dbs=8, seed=0)
+
+
+def test_dev_set_negative_count(schemas):
+    with pytest.raises(DatasetError, match="cannot sample -1 databases"):
+        build_dev_set(_records(schemas), n_dbs=-1, seed=0)
+    assert build_dev_set(_records(schemas), n_dbs=0, seed=0).dev == []
 
 
 def test_dev_default_is_eight(schemas):

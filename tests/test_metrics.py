@@ -1,3 +1,4 @@
+import json
 import math
 import sqlite3
 
@@ -6,10 +7,11 @@ import pytest
 from paperdata import CASE_TWEETS
 from queryfuzz import QueryFuzzer
 
+from sqlpatch.cli import _eval_line
 from sqlpatch.errors import BackendUnavailable, ExecutionError
 from sqlpatch.metrics import (
     SqliteBackend, exact_set_match, execution_match, mcnemar, mcnemar_counts,
-    orders_result,
+    orders_result, query_rows,
 )
 from sqlpatch.parse import parse_sql
 from sqlpatch.render import render
@@ -123,9 +125,9 @@ def test_em_suite(schemas):
 
 
 def test_equal_canonical_text_implies_exact_set_match(schemas):
-    # synthesize_train takes equal canonical texts as an exact set match
-    # without computing it; that holds because render is injective on
-    # normalized ASTs. The fuzzer builds normalized ASTs; each pair is
+    # synthesize_train skips a beam entry whose canonical text equals the
+    # gold's as correct without computing exact set match; that holds
+    # because render is injective on normalized ASTs. The fuzzer builds normalized ASTs; each pair is
     # checked as it made them, and its gold against a parse of its text.
     fuzzer = QueryFuzzer(schemas, seed=1415)
     equal = 0
@@ -142,54 +144,51 @@ def test_equal_canonical_text_implies_exact_set_match(schemas):
 # Execution match
 
 
-def test_ex_identical_queries(db_dir):
-    backend = SqliteBackend(db_dir)
-    sql = "select employee.name from employee"
-    assert execution_match(sql, sql, "hr", backend, gold_ordered=False) is True
+_NAMES = [("Ada",), ("Bo",), ("Cy",)]
+
+
+@pytest.mark.parametrize("pred,expected", [
+    (_NAMES, True), (_NAMES[::-1], True), (_NAMES[:2], False), (_NAMES + _NAMES[:1], False)])
+def test_ex_compares_multisets_when_gold_unordered(pred, expected):
+    assert execution_match(pred, _NAMES, gold_ordered=False) is expected
+
+
+@pytest.mark.parametrize("pred,expected", [(_NAMES, True), (_NAMES[::-1], False)])
+def test_ex_compares_sequences_when_gold_ordered(pred, expected):
+    assert execution_match(pred, _NAMES, gold_ordered=True) is expected
+
+
+@pytest.mark.parametrize("pred,expected", [
+    ([(3.0, "a")], True), ([(3, "a")], True), ([("3", "a")], False), ([(3, "A")], False)])
+def test_ex_compares_numeric_cells_as_numbers(pred, expected):
+    assert execution_match(pred, [(3, "a")], gold_ordered=False) is expected
+
+
+@pytest.mark.parametrize("pred,gold", [(None, []), ([], None), (None, None),
+                                       (None, _NAMES), (_NAMES, None)])
+def test_ex_rejected_query_never_matches(pred, gold):
+    for ordered in (False, True):
+        assert execution_match(pred, gold, gold_ordered=ordered) is False
+
+
+def test_ex_empty_results_match():
+    assert execution_match([], [], gold_ordered=False) is True
+
+
+def test_query_rows_returns_the_rows_or_none_when_rejected(db_dir):
+    with SqliteBackend(db_dir) as backend:
+        assert query_rows(backend, "select count(*) from employee", "hr") == [(3,)]
+        assert query_rows(backend, "select nope from employee", "hr") is None
+        with pytest.raises(BackendUnavailable):
+            query_rows(backend, "select 1", "nonexistent")
 
 
 def test_ex_semantically_equal_but_textually_different(db_dir):
-    backend = SqliteBackend(db_dir)
     pred = "select employee.name from employee where employee.age > 0"
     gold = "select employee.name from employee"
-    assert execution_match(pred, gold, "hr", backend, gold_ordered=False) is True
-
-
-def test_ex_database_error_is_false(db_dir):
-    backend = SqliteBackend(db_dir)
-    assert execution_match("select nope from employee",
-                           "select employee.name from employee", "hr", backend,
-                           gold_ordered=False) is False
-
-
-def test_ex_row_order_ignored_when_gold_unordered(db_dir):
-    backend = SqliteBackend(db_dir)
-    pred = "select employee.name from employee order by employee.age"
-    gold = "select employee.name from employee"
-    assert execution_match(pred, gold, "hr", backend, gold_ordered=False) is True
-
-
-def test_ex_order_enforced_when_gold_ordered(db_dir):
-    backend = SqliteBackend(db_dir)
-    pred = "select employee.name from employee order by employee.age"
-    gold = "select employee.name from employee order by employee.name"
-    # same rows, different order: the gold query fixes the order
-    assert execution_match(pred, gold, "hr", backend, gold_ordered=True) is False
-
-
-def test_ex_order_respected_when_gold_ordered(db_dir):
-    backend = SqliteBackend(db_dir)
-    pred = "select employee.name from employee order by employee.age desc"
-    gold = "select employee.name from employee order by employee.name"
-    assert execution_match(pred, gold, "hr", backend,
-                           gold_ordered=True) is False
-
-
-def test_ex_numeric_comparison(db_dir):
-    backend = SqliteBackend(db_dir)
-    pred = "select cast(quantity as real) from orders"
-    gold = "select quantity from orders"
-    assert execution_match(pred, gold, "shop", backend, gold_ordered=False) is True
+    with SqliteBackend(db_dir) as backend:
+        assert execution_match(query_rows(backend, pred, "hr"), query_rows(backend, gold, "hr"),
+                               gold_ordered=False) is True
 
 
 def test_ex_missing_database_raises(db_dir):
@@ -302,13 +301,25 @@ class _CountingBackend:
         return self.backend.execute(sql, db_id)
 
 
-@pytest.mark.parametrize("sql,expected", [
-    ("select employee.name from employee", True), ("select nope from employee", False)])
-def test_ex_identical_texts_execute_once(db_dir, sql, expected):
+class _RejectingBackend:
+    def execute(self, sql, db_id):
+        raise ExecutionError("no such column")
+
+
+@pytest.mark.parametrize("pred,expected,calls", [
+    ("SELECT name FROM employee", True, 1),
+    ("select employee.name from employee where employee.age > 0", True, 2),
+    ("select employee.age from employee", False, 2)])
+def test_eval_runs_identical_texts_once(schemas, db_dir, pred, expected, calls):
+    line = json.dumps({"db_id": "hr", "gold": "select employee.name from employee",
+                       "pred": pred})
     with SqliteBackend(db_dir) as sqlite:
         counting = _CountingBackend(sqlite)
-        assert execution_match(sql, sql, "hr", counting, gold_ordered=False) is expected
-        assert counting.calls == 1
+        assert _eval_line(line, schemas, counting).ex is expected
+        assert counting.calls == calls
+    rejecting = _CountingBackend(_RejectingBackend())
+    assert _eval_line(line, schemas, rejecting).ex is False
+    assert rejecting.calls == calls
 
 
 def _has_top_level_order(sql: str) -> bool:
