@@ -16,29 +16,33 @@ import sys
 from contextlib import ExitStack, nullcontext
 from functools import partial
 
-from . import dataset as ds
-from .clausemap import decompose, to_sql
-from .editscript import GRANULARITIES, EditAction, EditScript, parse_edits, render_edits
+# What every command runs; each command imports the rest it runs at its start.
 from .errors import DatasetError, SchemaError, SqlPatchError
-from .interact import OracleGenerator, SubprocessGenerator, simulate
 from .metrics import (
     EvalOutcome, SqliteBackend, exact_set_match, execution_match, mcnemar_counts,
     orders_result, query_rows,
 )
 from .parse import parse_sql
-from .pydict import parse_pydict, render_pydict
 from .render import render
-from .schema import load_tables_json
-from .vm import apply_token_edits
+from .schema import json_fields, load_tables_json
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    for name in ("workers", "beam_size"):  # counts, checked before any input is read
+        if getattr(args, name, 1) < 1:
+            args.parser.error(f"--{name.replace('_', '-')} must be at least 1")
     try:
-        return args.func(args, parser)
+        status = args.func(args, args.parser)
+        sys.stdout.flush()
+        return status
     except SqlPatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone: point stdout at devnull so that the
+        # interpreter's last flush stays quiet (Python's signal docs' recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 
@@ -52,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def cmd(name, help_text, func):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)  # usage errors name the subcommand
         return p
 
     def add_schema(p):
@@ -86,20 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("diff", "compute edits turning the wrong query into the gold query", _cmd_diff)
     add_schema_db_id(p)
-    p.add_argument("--granularity", required=True, choices=list(ds.REPRESENTATIONS))
+    p.add_argument("--granularity", required=True, help="a row of the representation table")
     p.add_argument("--wrong", required=True, help="file with the wrong SQL query")
     p.add_argument("--gold", required=True, help="file with the gold SQL query")
 
     p = cmd("render-edits", "convert edit actions between JSON lines and marker text",
             _cmd_render_edits)
-    p.add_argument("--granularity", required=True, choices=list(GRANULARITIES))
+    p.add_argument("--granularity", required=True, help="a marker-format granularity")
     p.add_argument("--parse", action="store_true",
                    help="read marker text and emit JSON lines instead")
     add_input(p, "edit actions")
 
     p = cmd("apply", "apply an edit script to a query", _cmd_apply)
     add_schema_db_id(p, required=False)
-    p.add_argument("--granularity", required=True, choices=list(GRANULARITIES))
+    p.add_argument("--granularity", required=True, help="a row of the representation table")
     p.add_argument("--wrong", required=True, help="file with the query to patch")
     p.add_argument("--edits", required=True, help="file with marker-format edits")
     p.add_argument("--report", action="store_true",
@@ -125,9 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("synth", "synthesize error-correction records from beam outputs", _cmd_synth)
     add_schema(p)
     add_db_dir(p)
-    p.add_argument("--query-rep", default="pydict", choices=list(ds.QUERY_REPS))
-    p.add_argument("--edit-rep", default="program", choices=list(ds.EDIT_REPS))
-    p.add_argument("--policy", default="either", choices=list(ds.POLICIES),
+    p.add_argument("--query-rep", default="pydict")
+    p.add_argument("--edit-rep", default="program")
+    p.add_argument("--policy", default="either",
                    help="wrong when either metric fails, or only when both fail")
     p.add_argument("--program-only", action="store_true",
                    help="y carries the edit program without the resulting query")
@@ -183,16 +187,15 @@ def _load_schema(args, parser) -> dict:
     return load_tables_json(args.schema)
 
 
-def _schema_for(schemas, db_id, parser):
-    if db_id not in schemas:
-        parser.error(f"db_id {db_id!r} not present in the schema file")
-    return schemas[db_id]
+def _schema_for(args, parser):
+    schemas = _load_schema(args, parser)
+    if args.db_id not in schemas:
+        parser.error(f"db_id {args.db_id!r} not present in the schema file")
+    return schemas[args.db_id]
 
 
 def _query_from_text(text: str, args, parser):
-    schemas = _load_schema(args, parser)
-    schema = _schema_for(schemas, args.db_id, parser)
-    return parse_sql(text.strip(), schema)
+    return parse_sql(text.strip(), _schema_for(args, parser))
 
 
 def _schema_of(schemas, db_id):
@@ -261,6 +264,13 @@ def _canonical(text: str, args, parser) -> str:
     return text
 
 
+def _check_choice(parser, flag, value, valid) -> None:
+    """A usage error, worded as argparse words one, unless valid holds value."""
+    if value not in valid:
+        parser.error(f"argument {flag}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, valid))})")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -271,54 +281,58 @@ def _cmd_normalize(args, parser) -> int:
 
 
 def _cmd_pydict(args, parser) -> int:
+    from .clausemap import decompose
+    from .pydict import render_pydict
     query = _query_from_text(_read(args.input), args, parser)
     print(render_pydict(decompose(query), pretty=args.pretty))
     return 0
 
 
 def _cmd_to_sql(args, parser) -> int:
+    from .clausemap import to_sql
+    from .pydict import parse_pydict
     print(to_sql(parse_pydict(_read(args.input))))
     return 0
 
 
 def _cmd_diff(args, parser) -> int:
-    schemas = _load_schema(args, parser)
-    schema = _schema_for(schemas, args.db_id, parser)
+    from .dataset import REPRESENTATIONS
+    _check_choice(parser, "--granularity", args.granularity, REPRESENTATIONS)
+    schema = _schema_for(args, parser)
     wrong = parse_sql(_read(args.wrong).strip(), schema)
     gold = parse_sql(_read(args.gold).strip(), schema)
-    rep = ds.REPRESENTATIONS[args.granularity]
+    rep = REPRESENTATIONS[args.granularity]
     print(rep.render_edits(rep.diff(wrong, gold)))
     return 0
 
 
 def _cmd_render_edits(args, parser) -> int:
+    from .editscript import GRANULARITIES, EditAction, EditScript, parse_edits, render_edits
+    _check_choice(parser, "--granularity", args.granularity, GRANULARITIES)
     if args.parse:
         script = parse_edits(_read(args.input).strip(), args.granularity)
         for action in script.actions:
             print(json.dumps({"kind": action.kind, "old": action.old,
                               "new": action.new}, ensure_ascii=False))
         return 0
-    actions = tuple(_map_lines(_edit_action, args.input))
+    read = partial(json_fields, types=dict.fromkeys(("kind", "old", "new"), str),
+                   defaults={"old": "", "new": ""})
+    actions = tuple(EditAction(*fields) for fields in _map_lines(read, args.input))
     print(render_edits(EditScript(args.granularity, actions)))
     return 0
-
-
-_EDIT_ACTION_FIELDS = dict.fromkeys(("kind", "old", "new"), str)
-
-
-def _edit_action(line) -> EditAction:
-    kind, old, new = ds.json_fields(line, _EDIT_ACTION_FIELDS, defaults={"old": "", "new": ""})
-    return EditAction(kind, old=old, new=new)
 
 
 def _cmd_apply(args, parser) -> int:
     """apply and exec-program: the --wrong query, made canonical as
     _canonical says, with the edits applied; with --report, the token
     applier's report."""
+    from .dataset import REPRESENTATIONS
+    from .vm import apply_token_edits
+    _check_choice(parser, "--granularity", args.granularity, REPRESENTATIONS)
     if args.report and args.granularity != "token":
         parser.error("--report requires --granularity token")
     wrong_sql = _canonical(_read(args.wrong).strip(), args, parser)
-    rep = ds.REPRESENTATIONS[args.granularity]
+    rep = REPRESENTATIONS[args.granularity]
     edits = rep.parse_edits(_read(args.edits))
     if args.report:
         applied = apply_token_edits(wrong_sql, edits)
@@ -339,7 +353,7 @@ _EVAL_FIELDS = dict.fromkeys(("db_id", "gold", "pred"), str)
 
 
 def _eval_line(line, schemas, backend):
-    db_id, gold_text, pred_text = ds.json_fields(line, _EVAL_FIELDS)
+    db_id, gold_text, pred_text = json_fields(line, _EVAL_FIELDS)
     schema = _schema_of(schemas, db_id)
     pred = parse_sql(pred_text, schema)
     gold = parse_sql(gold_text, schema)
@@ -371,7 +385,7 @@ def _cmd_eval(args, parser) -> int:
 
 def _cmd_mcnemar(args, parser) -> int:
     b = c = 0
-    for a_ok, b_ok in _map_lines(partial(ds.json_fields, types={"a": bool, "b": bool}),
+    for a_ok, b_ok in _map_lines(partial(json_fields, types={"a": bool, "b": bool}),
                                  args.input):
         b += a_ok and not b_ok
         c += (not a_ok) and b_ok
@@ -382,13 +396,18 @@ def _cmd_mcnemar(args, parser) -> int:
 
 
 def _synth_line(line, **options):
-    output = ds.ParserOutput.from_json(line)
-    return [r.to_json() for r in ds.synthesize_train([output], **options)]
+    from .dataset import ParserOutput, synthesize_train
+    output = ParserOutput.from_json(line)
+    return [r.to_json() for r in synthesize_train([output], **options)]
 
 
 def _cmd_synth(args, parser) -> int:
+    from .dataset import EDIT_REPS, POLICIES, QUERY_REPS, representation
+    _check_choice(parser, "--query-rep", args.query_rep, QUERY_REPS)
+    _check_choice(parser, "--edit-rep", args.edit_rep, EDIT_REPS)
+    _check_choice(parser, "--policy", args.policy, POLICIES)
     try:
-        ds.representation(args.query_rep, args.edit_rep)
+        representation(args.query_rep, args.edit_rep)
     except DatasetError as exc:
         parser.error(str(exc))
     if args.program_only and args.edit_rep != "program":
@@ -405,8 +424,9 @@ def _cmd_synth(args, parser) -> int:
 
 
 def _cmd_split_folds(args, parser) -> int:
-    outputs = list(_map_lines(ds.ParserOutput.from_json, args.input))
-    folds = ds.split_folds(outputs, args.folds)
+    from .dataset import ParserOutput, split_folds
+    outputs = list(_map_lines(ParserOutput.from_json, args.input))
+    folds = split_folds(outputs, args.folds)
     assignment = {}
     for i, fold in enumerate(folds):
         for output in fold:
@@ -419,8 +439,9 @@ def _cmd_split_folds(args, parser) -> int:
 
 
 def _cmd_build_dev(args, parser) -> int:
-    records = list(_map_lines(ds.ExampleRecord.from_json, args.input))
-    split = ds.build_dev_set(records, n_dbs=args.n_dbs, seed=args.seed)
+    from .dataset import ExampleRecord, build_dev_set
+    records = list(_map_lines(ExampleRecord.from_json, args.input))
+    split = build_dev_set(records, n_dbs=args.n_dbs, seed=args.seed)
     with open(args.train_out, "w", encoding="utf-8") as fh:
         fh.writelines(r.to_json() + "\n" for r in split.train)
     with open(args.dev_out, "w", encoding="utf-8") as fh:
@@ -430,18 +451,20 @@ def _cmd_build_dev(args, parser) -> int:
 
 
 def _cmd_stats(args, parser) -> int:
-    stats = ds.dataset_stats(list(_map_lines(ds.ExampleRecord.from_json, args.input)))
+    from .dataset import ExampleRecord, dataset_stats
+    stats = dataset_stats(list(_map_lines(ExampleRecord.from_json, args.input)))
     print(json.dumps({"count": stats.count, "avg_edits": stats.avg_edits}))
     return 0
 
 
 def _cmd_simulate(args, parser) -> int:
+    from .interact import SubprocessGenerator
     if args.generator == "noisy" and not args.generator_cmd and args.seed is None:
         parser.error("--seed is required for the noisy generator")
     if args.generator_cmd is not None and not args.generator_cmd.split():
         parser.error("--generator-cmd names no program")
-    if args.beam_size < 1:
-        parser.error("--beam-size must be at least 1")
+    if not 0 <= args.distractor_rate <= 1:
+        parser.error("--distractor-rate must be between 0 and 1")
     schemas = _load_schema(args, parser)
     external = SubprocessGenerator(args.generator_cmd.split()) if args.generator_cmd else None
     with external or nullcontext():
@@ -452,9 +475,11 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _simulate_line(line, schemas, args, external) -> str:
-    record = ds.ExampleRecord.from_json(line)
+    from .dataset import ExampleRecord, representation
+    from .interact import OracleGenerator, simulate
+    record = ExampleRecord.from_json(line)
     schema = _schema_of(schemas, record.db_id)
-    rep = ds.representation(record.query_rep, record.edit_rep)
+    rep = representation(record.query_rep, record.edit_rep)
     gold = rep.diff(parse_sql(record.wrong_sql, schema), parse_sql(record.gold_sql, schema))
     generator = external
     if generator is None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional, get_type_hints
@@ -26,7 +25,7 @@ from .parse import parse_sql
 from .program import EditProgram, Pop, parse_program, render_program
 from .pydict import render_pydict
 from .render import render
-from .schema import SchemaInfo
+from .schema import SchemaInfo, has_type, json_fields
 from .vm import apply_clause_edits, apply_token_edits, clause_content_pairs, exec_program
 
 POLICIES = ("either", "both")
@@ -182,7 +181,7 @@ class ParserOutput:
     def from_json(line: str) -> "ParserOutput":
         db_id, question, gold_sql, beam = json_fields(line, _PARSER_OUTPUT_FIELDS)
         if not all(type(e) is dict and type(e.get("sql")) is str
-                   and _has_type(e.get("score"), float) for e in beam):
+                   and has_type(e.get("score"), float) for e in beam):
             raise DatasetError(
                 'each beam entry needs a string "sql" and a finite numeric "score"')
         beam = tuple((e["sql"], float(e["score"])) for e in beam)
@@ -220,46 +219,6 @@ class ExampleRecord:
 
 _PARSER_OUTPUT_FIELDS = {"db_id": str, "question": str, "gold_sql": str, "beam": list}
 _RECORD_FIELDS = get_type_hints(ExampleRecord)
-
-
-def json_fields(line: str, types: dict, only: bool = False, defaults=None) -> list:
-    """The fields named in types of the JSON object on one input line, in
-    that order, a missing one read from defaults when it is there; a
-    DatasetError when the line is not a JSON object, lacks any other of
-    them, holds one that is not of its type or, if only is set, holds any
-    other field."""
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise DatasetError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
-    defaults = defaults or {}
-    for name, kind in types.items():
-        if name not in obj:
-            if name not in defaults:
-                raise DatasetError(f"missing field {name!r}")
-        elif not _has_type(obj[name], kind):
-            raise DatasetError(f"field {name!r} must be {_KIND_NAMES[kind]}, "
-                               f"got {type(obj[name]).__name__}")
-    if only:
-        for name in obj:
-            if name not in types:
-                raise DatasetError(f"unknown field {name!r}")
-    return [obj[name] if name in obj else defaults[name] for name in types]
-
-
-def _has_type(value, kind) -> bool:
-    """Whether a JSON-decoded value is of kind: an int is never a bool, a
-    float is any finite number, and a number of either kind fits a float,
-    so that a mean of such numbers is one too."""
-    if kind is int or kind is float:
-        return type(value) in (int, kind) and abs(value) <= sys.float_info.max
-    return type(value) is kind
-
-
-_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
-               float: "a finite number", list: "a list"}
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
-from .dataset import ExampleRecord, json_fields, representation
+from .dataset import ExampleRecord, representation
 from .editscript import EditScript, render_edits
 from .errors import DatasetError, SqlPatchError
 from .program import EditProgram, render_program
+from .schema import json_fields
 
 EXIT_WAIT_S = 10  # how long close() waits for an external generator to exit
 READ_WAIT_S = 60  # how long propose() waits to send a request and read its response

@@ -1,11 +1,13 @@
-"""Database schema model and loader for the Spider tables.json layout."""
+"""Database schema model and loader for the Spider tables.json layout, and
+the field reader of the JSON lines that every JSONL command takes."""
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
-from .errors import SchemaError
+from .errors import DatasetError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -93,3 +95,43 @@ def load_tables_json(path) -> dict[str, SchemaInfo]:
             raise SchemaError(f"tables.json entry {i}{name}: {detail}") from None
         store[info.db_id] = info
     return store
+
+
+def json_fields(line: str, types: dict, only: bool = False, defaults=None) -> list:
+    """The fields named in types of the JSON object on one input line, in
+    that order, a missing one read from defaults when it is there; a
+    DatasetError when the line is not a JSON object, lacks any other of
+    them, holds one that is not of its type or, if only is set, holds any
+    other field."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DatasetError(f"expected a JSON object, got {type(obj).__name__}")
+    defaults = defaults or {}
+    for name, kind in types.items():
+        if name not in obj:
+            if name not in defaults:
+                raise DatasetError(f"missing field {name!r}")
+        elif not has_type(obj[name], kind):
+            raise DatasetError(f"field {name!r} must be {_KIND_NAMES[kind]}, "
+                               f"got {type(obj[name]).__name__}")
+    if only:
+        for name in obj:
+            if name not in types:
+                raise DatasetError(f"unknown field {name!r}")
+    return [obj[name] if name in obj else defaults[name] for name in types]
+
+
+def has_type(value, kind) -> bool:
+    """Whether a JSON-decoded value is of kind: an int is never a bool, a
+    float is any finite number, and a number of either kind fits a float,
+    so that a mean of such numbers is one too."""
+    if kind is int or kind is float:
+        return type(value) in (int, kind) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
+_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
+               float: "a finite number", list: "a list"}

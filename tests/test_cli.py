@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -147,7 +148,7 @@ def test_apply_token_normalizes_an_aliased_query_given_a_db_id(schema_flag, tmp_
         assert proc.stdout == "select tweets.id from tweets\n"
 
 
-@pytest.mark.parametrize("granularity", ["clause-sql", "clause-pydict"])
+@pytest.mark.parametrize("granularity", ["clause-sql", "clause-pydict", "program"])
 def test_apply_report_needs_token_granularity(tmp_path, granularity):
     wrong = tmp_path / "w.sql"
     wrong.write_text(CASE_TWEETS.wrong)
@@ -579,19 +580,36 @@ def test_simulate_generator_command_without_words_is_a_usage_error(schema_flag, 
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("size", ["0", "-1"])
-def test_simulate_beam_size_below_one_is_a_usage_error(schema_flag, schemas, tmp_path, size):
+_RANGES = {"--beam-size": "at least 1", "--distractor-rate": "between 0 and 1"}
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--beam-size", "0"), ("--beam-size", "-1"),
+    ("--distractor-rate", "5"), ("--distractor-rate", "-1"), ("--distractor-rate", "nan")])
+def test_simulate_number_out_of_range_is_a_usage_error(schema_flag, schemas, tmp_path,
+                                                       flag, value):
     gen, started = tmp_path / "gen.py", tmp_path / "started"
     gen.write_text(f"open({str(started)!r}, 'w').close()\n"
                    "for request in open(0):\n"
                    "    print('{\"candidates\": []}', flush=True)\n", encoding="utf-8")
     record = json.dumps(_a_record(schemas)) + "\n"
-    for generator in (["--generator", "oracle"], ["--generator-cmd", f"{sys.executable} {gen}"]):
-        proc = run_cli(["simulate", *schema_flag, *generator, "--beam-size", size],
-                       stdin=record)
+    for generator in (["--generator", "oracle"], ["--generator", "noisy", "--seed", "1"],
+                      ["--generator-cmd", f"{sys.executable} {gen}"]):
+        proc = run_cli(["simulate", *schema_flag, *generator, flag, value], stdin=record)
         assert proc.returncode == 2
-        assert proc.stdout == "" and "--beam-size must be at least 1" in proc.stderr
+        assert proc.stdout == "" and f"{flag} must be {_RANGES[flag]}" in proc.stderr
     assert not started.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "synth"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(schema_flag, command, workers):
+    beam = build_mock_beams()[0]
+    stdin = beam.to_json() if command == "synth" else json.dumps(
+        {"db_id": beam.db_id, "gold": beam.gold_sql, "pred": beam.beam[0][0]})
+    proc = run_cli([command, *schema_flag, "--workers", workers], stdin=stdin + "\n")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--workers must be at least 1" in proc.stderr
 
 
 def test_simulate_noisy_requires_seed(schema_flag):
@@ -654,10 +672,27 @@ def test_synth_unknown_db_id_names_line(schema_flag, schemas, workers):
     assert "'nope'" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_usage_error_exit_code():
-    proc = run_cli(["diff", "--granularity", "nonsense",
-                    "--wrong", "/dev/null", "--gold", "/dev/null"])
-    assert proc.returncode == 2
+_ALL_GRANULARITIES = "'token', 'clause-sql', 'clause-pydict', 'program'"
+_NO_SCHEMA = ["--schema", "/nonexistent/tables.json"]
+
+
+@pytest.mark.parametrize("args,valid", [
+    (["diff", *_NO_SCHEMA, "--db-id", "social", "--wrong", "/dev/null", "--gold", "/dev/null",
+      "--granularity", "nonsense"], _ALL_GRANULARITIES),
+    (["apply", *_NO_SCHEMA, "--wrong", "/dev/null", "--edits", "/dev/null",
+      "--granularity", "nonsense"], _ALL_GRANULARITIES),
+    (["render-edits", "--granularity", "program"], "'token', 'clause-sql', 'clause-pydict'"),
+    (["synth", *_NO_SCHEMA, "--query-rep", "nonsense"], "'sql', 'pydict'"),
+    (["synth", *_NO_SCHEMA, "--edit-rep", "nonsense"], "'token', 'clause', 'program'"),
+    (["synth", *_NO_SCHEMA, "--policy", "nonsense"], "'either', 'both'")],
+    ids=["diff", "apply", "render-edits", "query-rep", "edit-rep", "policy"])
+def test_usage_error_exit_code(args, valid):
+    """An unknown name for a table flag is refused, with the valid names,
+    before the schema or any input is read."""
+    proc = run_cli(args, stdin="not json\n")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert (f"sqlpatch {args[0]}: error: argument {args[-2]}: invalid choice: "
+            f"{args[-1]!r} (choose from {valid})") in proc.stderr
 
 
 def test_domain_error_exit_code(schema_flag):
@@ -723,6 +758,58 @@ def test_the_pool_and_generators_load_what_they_use(schema_flag, schemas, tmp_pa
     assert "subprocess" in loaded_modules(
         ["simulate", *schema_flag, "--generator-cmd", f"{sys.executable} {gen}"],
         record, tmp_path)
+
+
+# The modules that synthesis and the simulated interaction run, and that
+# scoring, normalizing and the McNemar test do not.
+_SYNTHESIS = {f"sqlpatch.{name}" for name in (
+    "dataset", "clausemap", "diffs", "editscript", "program", "pydict", "vm", "interact")}
+
+
+def test_commands_load_only_the_modules_they_run(schema_flag, db_dir, tmp_path):
+    beams = build_mock_beams()[:2]
+    eval_lines = "\n".join(json.dumps({"db_id": o.db_id, "gold": o.gold_sql, "pred": sql})
+                           for o in beams for sql, _ in o.beam[:2])
+    runs = [(["eval", *schema_flag, "--db-dir", str(db_dir)], eval_lines),
+            (["normalize", *schema_flag, "--db-id", "social"],
+             "SELECT T1.text FROM tweets AS T1"),
+            (["mcnemar"], json.dumps({"a": True, "b": False}))]
+    for args, stdin in runs:
+        assert loaded_modules(args, stdin, tmp_path) & _SYNTHESIS == set(), args
+    synth = loaded_modules(["synth", *schema_flag], "\n".join(o.to_json() for o in beams),
+                           tmp_path)
+    assert synth & _SYNTHESIS == _SYNTHESIS - {"sqlpatch.interact"}
+
+
+@pytest.mark.parametrize("args", [["synth"], ["synth", "--workers", "2"],
+                                  ["simulate", "--generator", "oracle"]])
+def test_a_reader_that_closes_stdout_ends_the_command_quietly(
+        schema_flag, schemas, tmp_path, args):
+    """Output to a pipe whose reader has gone ends the command with status 1,
+    no traceback and no pool worker left running."""
+    beams = build_mock_beams()
+    if args[0] == "synth":
+        stdin = "\n".join(o.to_json() for o in beams)
+    else:
+        stdin = "".join(r.to_json() + "\n" for r in synthesize_train(beams, schemas))
+    out = tmp_path / "children.json"
+    probe = ("import json, multiprocessing, sys\n"
+             "from sqlpatch.cli import main\n"
+             "status = main(sys.argv[2:])\n"
+             "with open(sys.argv[1], 'w') as fh:\n"
+             "    json.dump(len(multiprocessing.active_children()), fh)\n"
+             "sys.exit(status)\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", probe, str(out), args[0], *schema_flag,
+                               *args[1:]], input=stdin, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8")) == 0
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])
