@@ -22,13 +22,13 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "clausemap": "CLAUSE_KEYS ClauseMap Composite decompose entry_sql sql_to_clause_map to_sql",
     "dataset": "DatasetSplit DatasetStats ExampleRecord ParserOutput build_dev_set "
-               "dataset_stats serialize_example split_folds synthesize_train",
+               "dataset_stats split_folds synthesize_train",
     "diffs": "diff_clauses_pydict diff_clauses_sql diff_program diff_tokens",
     "editscript": "EditAction EditScript parse_edits render_edits",
     "errors": "SqlPatchError",
     "interact": "Candidate OracleGenerator SessionLog SubprocessGenerator simulate",
     "metrics": "EvalOutcome McNemarResult SqliteBackend exact_set_match execution_match "
-               "mcnemar mcnemar_counts query_rows",
+               "mcnemar_counts query_rows",
     "nodes": "Query",
     "normalize": "normalize",
     "parse": "parse parse_sql",

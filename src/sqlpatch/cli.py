@@ -223,6 +223,7 @@ def _map_lines(fn, path, workers: int = 1):
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(fn,)))
+            stack.callback(pool.shutdown, cancel_futures=True)  # early end: drop unstarted chunks
             mapped = pool.map(_worker_call, lines,
                               chunksize=max(1, len(lines) // (workers * 4)))
         else:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from .clausemap import CLAUSE_INDEX, decompose, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
@@ -21,6 +20,7 @@ from .errors import DatasetError, SqlPatchError
 from .metrics import (
     ExecBackend, exact_set_match, execution_match, orders_result, query_rows,
 )
+from .nodes import Record
 from .parse import parse_sql
 from .program import EditProgram, Pop, parse_program, render_program
 from .pydict import render_pydict
@@ -112,7 +112,7 @@ class _PydictQuery(Representation):
         return query.clause_map
 
     def render_query(self, query) -> str:
-        return render_pydict(query.clause_map)
+        return query.pydict
 
 
 class _ClausePydictEdits(_PydictQuery):
@@ -163,19 +163,18 @@ def representation(query_rep: str, edit_rep: str) -> Representation:
     raise DatasetError(f"{edit_rep} edits require the {' or '.join(valid)} query representation")
 
 
-@dataclass(frozen=True)
-class ParserOutput:
-    db_id: str
-    question: str
-    gold_sql: str
-    beam: tuple[tuple[str, float], ...]  # (sql, score), highest score first
+class ParserOutput(Record, hashable=True):
+    __slots__ = ("db_id", "question", "gold_sql", "beam")
 
-    def __post_init__(self):
-        if not self.beam:
+    def __init__(self, db_id: str, question: str, gold_sql: str,
+                 beam: tuple[tuple[str, float], ...]):
+        if not beam:
             raise DatasetError("beam must be non-empty")
-        scores = [score for _, score in self.beam]
+        scores = [score for _, score in beam]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise DatasetError("beam scores must be non-increasing")
+        self.db_id, self.question, self.gold_sql = db_id, question, gold_sql
+        self.beam = beam  # (sql, score), highest score first
 
     @staticmethod
     def from_json(line: str) -> "ParserOutput":
@@ -194,31 +193,35 @@ class ParserOutput:
         }, ensure_ascii=False)
 
 
-@dataclass(frozen=True)
-class ExampleRecord:
-    db_id: str
-    question: str
-    schema_serial: str
-    wrong_sql: str  # canonical SQL of the wrong parse
-    gold_sql: str   # canonical SQL of the gold query
-    query_rep: str  # sql | pydict
-    edit_rep: str   # token | clause | program
-    x: str
-    y: str
-    n_edits: int
-    beam_rank: int
-    beam_score: float
+# The fields of an ExampleRecord, in order, with the JSON type of each.
+_RECORD_FIELDS = {
+    "db_id": str, "question": str, "schema_serial": str,
+    "wrong_sql": str, "gold_sql": str,  # canonical SQL of the wrong parse and of the gold
+    "query_rep": str, "edit_rep": str,  # sql | pydict, and token | clause | program
+    "x": str, "y": str, "n_edits": int, "beam_rank": int, "beam_score": float,
+}
+
+
+class ExampleRecord(Record, hashable=True):
+    __slots__ = tuple(_RECORD_FIELDS)
+
+    def __init__(self, db_id: str, question: str, schema_serial: str, wrong_sql: str,
+                 gold_sql: str, query_rep: str, edit_rep: str, x: str, y: str,
+                 n_edits: int, beam_rank: int, beam_score: float):
+        self.db_id, self.question, self.schema_serial = db_id, question, schema_serial
+        self.wrong_sql, self.gold_sql = wrong_sql, gold_sql
+        self.query_rep, self.edit_rep, self.x, self.y = query_rep, edit_rep, x, y
+        self.n_edits, self.beam_rank, self.beam_score = n_edits, beam_rank, beam_score
 
     @staticmethod
     def from_json(line: str) -> "ExampleRecord":
         return ExampleRecord(*json_fields(line, _RECORD_FIELDS, only=True))
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), ensure_ascii=False)
+        return json.dumps(dict(zip(self.__slots__, self._values())), ensure_ascii=False)
 
 
 _PARSER_OUTPUT_FIELDS = {"db_id": str, "question": str, "gold_sql": str, "beam": list}
-_RECORD_FIELDS = get_type_hints(ExampleRecord)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +299,9 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
 
 class _Query:
     """One parsed query of a question: its AST, with its canonical text, its
-    clause map and its rows each made the first time it is read. The rows
-    need run, query_rows bound to the question's backend and database, and
-    are None when the database rejects the query."""
+    clause map, that map's dictionary text and its rows each made the first
+    time it is read. The rows need run, query_rows bound to the question's
+    backend and database, and are None when the database rejects the query."""
 
     def __init__(self, ast, run=None):
         self.ast = ast
@@ -311,6 +314,10 @@ class _Query:
     @cached_property
     def clause_map(self):
         return decompose(self.ast)
+
+    @cached_property
+    def pydict(self) -> str:
+        return render_pydict(self.clause_map)
 
     @cached_property
     def rows(self) -> Optional[list[tuple]]:
@@ -330,18 +337,6 @@ def make_record(output: ParserOutput, rank: int, score: float, schema: SchemaInf
         return None
     return ExampleRecord(output.db_id, output.question, schema_serial, wrong.sql, gold.sql,
                          query_rep, edit_rep, *example, rank, score)  # example: x, y, n_edits
-
-
-def serialize_example(question: str, schema_serial: str, wrong_ast, gold_ast,
-                      query_rep: str, edit_rep: str,
-                      program_only: bool = False) -> tuple[str, str]:
-    """Build the (x, y) pair of two query ASTs; a DatasetError when they
-    have no edits."""
-    example = _example(representation(query_rep, edit_rep), question, schema_serial,
-                       _Query(wrong_ast), _Query(gold_ast), program_only)
-    if example is None:
-        raise DatasetError("refusing to serialize a pair with no edits")
-    return example[:2]
 
 
 def _example(rep: Representation, question: str, schema_serial: str, wrong: _Query,
@@ -365,10 +360,11 @@ def _example(rep: Representation, question: str, schema_serial: str, wrong: _Que
 # Dev-set extraction and statistics
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: list[ExampleRecord]
-    dev: list[ExampleRecord]
+class DatasetSplit(Record, hashable=True):
+    __slots__ = ("train", "dev")
+
+    def __init__(self, train: list[ExampleRecord], dev: list[ExampleRecord]):
+        self.train, self.dev = train, dev
 
 
 def build_dev_set(records: list[ExampleRecord], n_dbs: int = 8,
@@ -396,10 +392,12 @@ def build_dev_set(records: list[ExampleRecord], n_dbs: int = 8,
     return DatasetSplit(train=train, dev=[best[key] for key in order])
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    count: int
-    avg_edits: Optional[float]  # None when there are no records
+class DatasetStats(Record, hashable=True):
+    __slots__ = ("count", "avg_edits")
+
+    def __init__(self, count: int, avg_edits: Optional[float]):
+        self.count = count
+        self.avg_edits = avg_edits  # None when there are no records
 
 
 def dataset_stats(records: list[ExampleRecord]) -> DatasetStats:

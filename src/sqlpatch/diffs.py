@@ -11,13 +11,13 @@ render the touched entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .clausemap import (
     CLAUSE_INDEX, ClauseMap, Composite, decompose, entry_sql, entry_value_sql,
 )
 from .editscript import EditAction, EditScript
+from .nodes import Record
 from .nodes import Query
 from .program import Assign, EditProgram, Pop
 from .pydict import render_entry_fragment
@@ -115,12 +115,15 @@ def _lcs_ops(a: list[str], b: list[str]):
 # Shared clause walk
 
 
-@dataclass(frozen=True)
-class DiffItem:
-    kind: str                  # replace | delete | insert
-    path: tuple[str, ...]      # map level that owns the key(s)
-    pairs: tuple[tuple[str, object], ...]  # (key, entry): new side for insert/replace
-    old: tuple[tuple[str, object], ...] = ()  # (key, entry): old side for replace/delete
+class DiffItem(Record, hashable=True):
+    __slots__ = ("kind", "path", "pairs", "old")
+
+    def __init__(self, kind: str, path: tuple[str, ...], pairs: tuple[tuple[str, object], ...],
+                 old: tuple[tuple[str, object], ...] = ()):
+        self.kind = kind    # replace | delete | insert
+        self.path = path    # map level that owns the key(s)
+        self.pairs = pairs  # (key, entry): new side for insert/replace
+        self.old = old      # (key, entry): old side for replace/delete
 
 
 def clause_diff_items(wrong: MapLike, gold: MapLike) -> list[DiffItem]:

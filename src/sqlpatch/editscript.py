@@ -10,9 +10,9 @@ tokens; parsing rejects unknown, nested, or unbalanced markers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import EditParseError
+from .nodes import Record
 
 GRANULARITIES = ("token", "clause-sql", "clause-pydict")
 
@@ -30,36 +30,32 @@ _MARKER_RE = re.compile("|".join(re.escape(m) for m in MARKERS))
 _UNKNOWN_RE = re.compile(r"<\w+>")
 
 
-@dataclass(frozen=True)
-class EditAction:
-    kind: str  # replace | insert | delete
-    old: str = ""
-    new: str = ""
+class EditAction(Record, hashable=True):
+    __slots__ = ("kind", "old", "new")
 
-    def __post_init__(self):
-        for name in ("old", "new"):
-            value = getattr(self, name)
+    def __init__(self, kind: str, old: str = "", new: str = ""):
+        for name, value in (("old", old), ("new", new)):
             if not isinstance(value, str):
                 raise EditParseError(
                     f"the {name} span must be a string, not {type(value).__name__}")
-        if self.kind == "replace" and (not self.old or not self.new):
+        if kind == "replace" and (not old or not new):
             raise EditParseError("replace requires non-empty old and new spans")
-        if self.kind == "insert" and (self.old or not self.new):
+        if kind == "insert" and (old or not new):
             raise EditParseError("insert requires an empty old span and non-empty content")
-        if self.kind == "delete" and (self.new or not self.old):
+        if kind == "delete" and (new or not old):
             raise EditParseError("delete requires non-empty content and an empty new span")
-        if self.kind not in ("replace", "insert", "delete"):
-            raise EditParseError(f"unknown edit kind {self.kind!r}")
+        if kind not in ("replace", "insert", "delete"):
+            raise EditParseError(f"unknown edit kind {kind!r}")
+        self.kind, self.old, self.new = kind, old, new
 
 
-@dataclass(frozen=True)
-class EditScript:
-    granularity: str
-    actions: tuple[EditAction, ...] = ()
+class EditScript(Record, hashable=True):
+    __slots__ = ("granularity", "actions")
 
-    def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise EditParseError(f"unknown granularity {self.granularity!r}")
+    def __init__(self, granularity: str, actions: tuple[EditAction, ...] = ()):
+        if granularity not in GRANULARITIES:
+            raise EditParseError(f"unknown granularity {granularity!r}")
+        self.granularity, self.actions = granularity, actions
 
     def __len__(self):
         return len(self.actions)

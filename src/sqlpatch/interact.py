@@ -15,12 +15,12 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
 from .dataset import ExampleRecord, representation
 from .editscript import EditScript, render_edits
 from .errors import DatasetError, SqlPatchError
+from .nodes import Record
 from .program import EditProgram, render_program
 from .schema import json_fields
 
@@ -28,10 +28,11 @@ EXIT_WAIT_S = 10  # how long close() waits for an external generator to exit
 READ_WAIT_S = 60  # how long propose() waits to send a request and read its response
 
 
-@dataclass(frozen=True)
-class Candidate:
-    actions: tuple[str, ...]
-    final_query: str = ""
+class Candidate(Record, hashable=True):
+    __slots__ = ("actions", "final_query")
+
+    def __init__(self, actions: tuple[str, ...], final_query: str = ""):
+        self.actions, self.final_query = actions, final_query
 
 
 class GeneratorAdapter(Protocol):
@@ -39,19 +40,24 @@ class GeneratorAdapter(Protocol):
         ...
 
 
-@dataclass
-class SessionStep:
-    candidates: list[list[str]]
-    selected: Optional[str]  # None means every candidate was skipped
-    depth: int               # how deep the probe went
+class SessionStep(Record):
+    __slots__ = ("candidates", "selected", "depth")
+
+    def __init__(self, candidates: list[list[str]], selected: Optional[str], depth: int):
+        self.candidates = candidates
+        self.selected = selected  # None means every candidate was skipped
+        self.depth = depth        # how deep the probe went
 
 
-@dataclass
-class SessionLog:
-    steps: list[SessionStep] = field(default_factory=list)
-    selected: list[str] = field(default_factory=list)
-    result_sql: str = ""
-    fully_corrected: bool = False
+class SessionLog(Record):
+    __slots__ = ("steps", "selected", "result_sql", "fully_corrected")
+
+    def __init__(self, steps: Optional[list[SessionStep]] = None,
+                 selected: Optional[list[str]] = None, result_sql: str = "",
+                 fully_corrected: bool = False):
+        self.steps = [] if steps is None else steps
+        self.selected = [] if selected is None else selected
+        self.result_sql, self.fully_corrected = result_sql, fully_corrected
 
     def to_json(self) -> str:
         return json.dumps({

@@ -12,20 +12,21 @@ import math
 import sqlite3
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
 
 from .errors import BackendUnavailable, ExecutionError
 from .nodes import (
-    BoolOp, ColUnit, Condition, Literal, Query, ValueList, conjuncts,
+    BoolOp, ColUnit, Condition, Literal, Query, Record, ValueList, conjuncts,
 )
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    em: bool
-    ex: Optional[bool] = None  # present iff an execution backend was supplied
+class EvalOutcome(Record, hashable=True):
+    __slots__ = ("em", "ex")
+
+    def __init__(self, em: bool, ex: Optional[bool] = None):
+        self.em = em
+        self.ex = ex  # present iff an execution backend was supplied
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +219,9 @@ def execution_match(pred_rows: Optional[list[tuple]], gold_rows: Optional[list[t
         return False
     if pred_rows is gold_rows:  # one result read for both sides
         return True
-    a = [_norm_row(r) for r in pred_rows]
-    b = [_norm_row(r) for r in gold_rows]
     if gold_ordered:
-        return a == b
-    return Counter(a) == Counter(b)
-
-
-def _norm_row(row: tuple) -> tuple:
-    return tuple(float(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
-                 else v for v in row)
+        return pred_rows == gold_rows
+    return len(pred_rows) == len(gold_rows) and Counter(pred_rows) == Counter(gold_rows)
 
 
 def orders_result(query: Query) -> bool:
@@ -244,25 +238,18 @@ def orders_result(query: Query) -> bool:
 # McNemar's test
 
 
-@dataclass(frozen=True)
-class McNemarResult:
-    b: int  # first system correct, second wrong
-    c: int  # first system wrong, second correct
-    p: float
-    degenerate: bool = False  # no discordant pairs at all
+class McNemarResult(Record, hashable=True):
+    __slots__ = ("b", "c", "p", "degenerate")
 
-
-def mcnemar(outcomes) -> McNemarResult:
-    """Exact two-sided binomial McNemar test over paired boolean outcomes."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("outcomes must be non-empty")
-    b = sum(1 for a_ok, b_ok in outcomes if a_ok and not b_ok)
-    c = sum(1 for a_ok, b_ok in outcomes if not a_ok and b_ok)
-    return mcnemar_counts(b, c)
+    def __init__(self, b: int, c: int, p: float, degenerate: bool = False):
+        self.b = b  # first system correct, second wrong
+        self.c = c  # first system wrong, second correct
+        self.p = p
+        self.degenerate = degenerate  # no discordant pairs at all
 
 
 def mcnemar_counts(b: int, c: int) -> McNemarResult:
+    """Exact two-sided binomial McNemar test over the discordant pair counts."""
     n = b + c
     if n == 0:
         return McNemarResult(0, 0, 1.0, degenerate=True)

@@ -1,6 +1,6 @@
-"""AST nodes for the Spider SQL subset.
+"""AST nodes for the Spider SQL subset, and the base of every value record.
 
-Nodes are slotted dataclasses with structural equality and no hash. No code
+Nodes are slotted records with structural equality and no hash. No code
 mutates one after parse returns it; every transformation builds new values
 (tests/test_nodes.py). Before that, normalize resolves the parser's fresh
 tree in place, so a parsed tree shares no node.
@@ -8,14 +8,44 @@ tree in place, so a parsed tree shares no node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 
-@dataclass(slots=True)
-class ColumnRef:
-    table: Optional[str]  # real table name or retained alias; None before qualification
-    column: str           # may be "*"
+class Record:
+    """A value whose fields are its class's ``__slots__``. It equals a value
+    of the same class with equal fields and shows as ``Class(field=value,
+    ...)``; it is hashed by its fields when its class is declared with
+    ``hashable=True``, and has no hash otherwise."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hashable: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if hashable:
+            cls.__hash__ = Record._hash
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ColumnRef(Record):
+    __slots__ = ("table", "column")
+
+    def __init__(self, table: Optional[str], column: str):
+        self.table = table    # real table name or retained alias; None before qualification
+        self.column = column  # may be "*"
 
     def text(self) -> str:
         if self.table:
@@ -23,40 +53,43 @@ class ColumnRef:
         return self.column
 
 
-@dataclass(slots=True)
-class ColUnit:
+class ColUnit(Record):
     """A column possibly wrapped in one aggregate: ``agg(distinct col)``."""
-    agg: Optional[str]
-    distinct: bool
-    col: ColumnRef
+    __slots__ = ("agg", "distinct", "col")
+
+    def __init__(self, agg: Optional[str], distinct: bool, col: ColumnRef):
+        self.agg, self.distinct, self.col = agg, distinct, col
 
 
-@dataclass(slots=True)
-class ValUnit:
+class ValUnit(Record):
     """A column unit or a binary arithmetic expression over two of them."""
-    op: Optional[str]  # one of + - * /
-    left: ColUnit
-    right: Optional[ColUnit] = None
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: Optional[str], left: ColUnit, right: Optional[ColUnit] = None):
+        self.op, self.left, self.right = op, left, right  # op: one of + - * /
 
 
-@dataclass(slots=True)
-class SelectItem:
+class SelectItem(Record):
     """One select-list entry; ``agg`` is only set for an aggregate over arithmetic."""
-    agg: Optional[str]
-    distinct: bool
-    val: ValUnit
+    __slots__ = ("agg", "distinct", "val")
+
+    def __init__(self, agg: Optional[str], distinct: bool, val: ValUnit):
+        self.agg, self.distinct, self.val = agg, distinct, val
 
 
-@dataclass(slots=True)
-class Select:
-    distinct: bool
-    items: tuple[SelectItem, ...]
+class Select(Record):
+    __slots__ = ("distinct", "items")
+
+    def __init__(self, distinct: bool, items: tuple[SelectItem, ...]):
+        self.distinct, self.items = distinct, items
 
 
-@dataclass(slots=True)
-class Literal:
-    kind: str  # number | string
-    text: str  # verbatim token text (strings keep their quotes)
+class Literal(Record):
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: str, text: str):
+        self.kind = kind  # number | string
+        self.text = text  # verbatim token text (strings keep their quotes)
 
     def value(self) -> str:
         if self.kind == "string":
@@ -64,68 +97,82 @@ class Literal:
         return self.text
 
 
-@dataclass(slots=True)
-class ValueList:
-    items: tuple[Literal, ...]
+class ValueList(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Literal, ...]):
+        self.items = items
 
 
 # Right-hand operand of a condition.
 Operand = Union[Literal, ColUnit, ValueList, "Query"]
 
 
-@dataclass(slots=True)
-class Condition:
-    left: ValUnit
-    op: str  # = != < > <= >= between like "not like" in "not in"
-    right: Operand
-    right2: Optional[Operand] = None  # upper bound for between
+class Condition(Record):
+    __slots__ = ("left", "op", "right", "right2")
+
+    def __init__(self, left: ValUnit, op: str, right: Operand,
+                 right2: Optional[Operand] = None):
+        self.left = left
+        self.op = op  # = != < > <= >= between like "not like" in "not in"
+        self.right = right
+        self.right2 = right2  # upper bound for between
 
 
-@dataclass(slots=True)
-class BoolOp:
-    op: str  # and | or
-    args: tuple["BoolExpr", ...]
+class BoolOp(Record):
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple[BoolExpr, ...]):
+        self.op, self.args = op, args  # op: and | or
 
 
 BoolExpr = Union[Condition, BoolOp]
 
 
-@dataclass(slots=True)
-class JoinedTable:
-    table: str
-    alias: Optional[str] = None
-    conds: tuple[Condition, ...] = ()  # ON conditions; empty for the first table
+class JoinedTable(Record):
+    __slots__ = ("table", "alias", "conds")
+
+    def __init__(self, table: str, alias: Optional[str] = None,
+                 conds: tuple[Condition, ...] = ()):
+        self.table, self.alias = table, alias
+        self.conds = conds  # ON conditions; empty for the first table
 
 
-@dataclass(slots=True)
-class FromClause:
-    tables: tuple[JoinedTable, ...] = ()
-    subquery: Optional["Query"] = None  # alternative source: FROM (subquery)
-    subquery_alias: Optional[str] = None
+class FromClause(Record):
+    __slots__ = ("tables", "subquery", "subquery_alias")
+
+    def __init__(self, tables: tuple[JoinedTable, ...] = (), subquery: Optional[Query] = None,
+                 subquery_alias: Optional[str] = None):
+        self.tables = tables
+        self.subquery = subquery  # alternative source: FROM (subquery)
+        self.subquery_alias = subquery_alias
 
 
-@dataclass(slots=True)
-class OrderItem:
-    val: ValUnit
-    direction: str = "asc"
+class OrderItem(Record):
+    __slots__ = ("val", "direction")
+
+    def __init__(self, val: ValUnit, direction: str = "asc"):
+        self.val, self.direction = val, direction
 
 
-@dataclass(slots=True)
-class SetOp:
-    kind: str  # intersect | union | except
-    right: "Query"
+class SetOp(Record):
+    __slots__ = ("kind", "right")
+
+    def __init__(self, kind: str, right: Query):
+        self.kind, self.right = kind, right  # kind: intersect | union | except
 
 
-@dataclass(slots=True)
-class Query:
-    select: Select
-    from_clause: FromClause
-    where: Optional[BoolExpr] = None
-    group_by: tuple[ColumnRef, ...] = ()
-    having: Optional[BoolExpr] = None
-    order_by: tuple[OrderItem, ...] = ()
-    limit: Optional[int] = None
-    set_op: Optional[SetOp] = None
+class Query(Record):
+    __slots__ = ("select", "from_clause", "where", "group_by", "having", "order_by",
+                 "limit", "set_op")
+
+    def __init__(self, select: Select, from_clause: FromClause,
+                 where: Optional[BoolExpr] = None, group_by: tuple[ColumnRef, ...] = (),
+                 having: Optional[BoolExpr] = None, order_by: tuple[OrderItem, ...] = (),
+                 limit: Optional[int] = None, set_op: Optional[SetOp] = None):
+        self.select, self.from_clause, self.where = select, from_clause, where
+        self.group_by, self.having, self.order_by = group_by, having, order_by
+        self.limit, self.set_op = limit, set_op
 
 
 def conjuncts(expr: Optional[BoolExpr]) -> tuple[BoolExpr, ...]:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
 from .clausemap import CLAUSE_INDEX
 from .errors import ProgramError
+from .nodes import Record
 from .pydict import Cursor, lex
 
 _SUBQUERY_RE = re.compile(r"^subquery\d+$")
@@ -29,35 +29,35 @@ def _check_key(key: str, line=None):
         raise ProgramError(f"invalid key {key!r}", line=line)
 
 
-@dataclass(frozen=True)
-class Assign:
-    path: tuple[str, ...]  # non-empty, from the root
-    value: str
+class Assign(Record, hashable=True):
+    __slots__ = ("path", "value")
 
-    def __post_init__(self):
-        if not self.path:
+    def __init__(self, path: tuple[str, ...], value: str):
+        if not path:
             raise ProgramError("assignment requires at least one key")
-        for key in self.path:
+        for key in path:
             _check_key(key)
+        self.path, self.value = path, value  # path: non-empty, from the root
 
 
-@dataclass(frozen=True)
-class Pop:
-    path: tuple[str, ...]  # possibly empty parent path
-    key: str
+class Pop(Record, hashable=True):
+    __slots__ = ("path", "key")
 
-    def __post_init__(self):
-        for part in self.path:
+    def __init__(self, path: tuple[str, ...], key: str):
+        for part in path:
             _check_key(part)
-        _check_key(self.key)
+        _check_key(key)
+        self.path, self.key = path, key  # path: possibly empty parent path
 
 
 EditStmt = Union[Assign, Pop]
 
 
-@dataclass(frozen=True)
-class EditProgram:
-    stmts: tuple[EditStmt, ...] = ()
+class EditProgram(Record, hashable=True):
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: tuple[EditStmt, ...] = ()):
+        self.stmts = stmts
 
     def __len__(self):
         return len(self.stmts)

@@ -5,22 +5,23 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import DatasetError, SchemaError
+from .nodes import Record
 
 
-@dataclass(frozen=True)
-class SchemaInfo:
-    db_id: str
-    tables: tuple[str, ...]
-    columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    foreign_keys: tuple[tuple[str, str], ...] = ()
+class SchemaInfo(Record, hashable=True):
+    __slots__ = ("db_id", "tables", "columns", "foreign_keys")
 
-    def __post_init__(self):
-        if len(set(self.tables)) != len(self.tables):
-            raise SchemaError(f"duplicate table names in schema {self.db_id!r}")
-        for table in self.tables:
+    def __init__(self, db_id: str, tables: tuple[str, ...],
+                 columns: Optional[dict[str, tuple[str, ...]]] = None,
+                 foreign_keys: tuple[tuple[str, str], ...] = ()):
+        if len(set(tables)) != len(tables):
+            raise SchemaError(f"duplicate table names in schema {db_id!r}")
+        self.db_id, self.tables, self.foreign_keys = db_id, tables, foreign_keys
+        self.columns = {} if columns is None else columns
+        for table in tables:
             if table not in self.columns:
                 raise SchemaError(f"table {table!r} has no column list")
 

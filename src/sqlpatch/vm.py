@@ -11,7 +11,6 @@ the leftmost match and report ambiguity instead of failing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .clausemap import (
     CLAUSE_INDEX, SET_OP_KEYS, ClauseMap, Composite, Entry,
@@ -19,16 +18,17 @@ from .clausemap import (
 )
 from .editscript import EditScript
 from .errors import ApplyError, ExecError, MapError, PyDictError, TokenizeError
+from .nodes import Record
 from .program import Assign, EditProgram, Pop
 from .pydict import parse_entry_fragments
 from .tokens import detokenize, tokenize
 
 
-@dataclass(frozen=True)
-class ApplyReport:
-    result: str
-    ambiguous_spans: int = 0
-    skipped: int = 0
+class ApplyReport(Record, hashable=True):
+    __slots__ = ("result", "ambiguous_spans", "skipped")
+
+    def __init__(self, result: str, ambiguous_spans: int = 0, skipped: int = 0):
+        self.result, self.ambiguous_spans, self.skipped = result, ambiguous_spans, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +116,14 @@ def _fmt(path) -> str:
 # Clause-level script application
 
 
-@dataclass
-class _Op:
-    kind: str  # replace | delete | insert
-    key: str = ""                 # anchor key for replace/delete
-    old: Entry = None
-    pairs: tuple = ()             # (key, entry) pairs to insert / the replacement
+class _Op(Record):
+    __slots__ = ("kind", "key", "old", "pairs")
+
+    def __init__(self, kind: str, key: str = "", old: Entry = None, pairs: tuple = ()):
+        self.kind = kind    # replace | delete | insert
+        self.key = key      # anchor key for replace/delete
+        self.old = old
+        self.pairs = pairs  # (key, entry) pairs to insert / the replacement
 
 
 def apply_clause_edits(cm: ClauseMap, script: EditScript) -> ClauseMap:

@@ -14,7 +14,6 @@ clause-level editing, which is exactly what edit programs exist to fix.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from sqlpatch.clausemap import decompose
 from sqlpatch.diffs import diff_clauses_sql
@@ -28,6 +27,11 @@ from sqlpatch.schema import SchemaInfo
 from sqlpatch.vm import apply_clause_edits
 
 AGGS = ("max", "min", "count", "sum", "avg")
+
+
+def replace(node, **changes):
+    """A copy of an AST node with the given fields changed."""
+    return type(node)(**{name: changes.get(name, getattr(node, name)) for name in node.__slots__})
 COMPARES = ("=", "!=", "<", ">", "<=", ">=")
 ARITHS = ("+", "-", "*", "/")
 WORDS = ("'Asti'", "'Bern%'", "'Cusco'", "'Drax'", "'Elba'")

@@ -1,14 +1,20 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from mockbeams import build_mock_beams
 from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS, TABLES_JSON
 
+from sqlpatch.cli import _map_lines
 from sqlpatch.dataset import synthesize_train
+from sqlpatch.errors import SqlPatchError
 
 CLI = [sys.executable, "-m", "sqlpatch.cli"]
 
@@ -432,6 +438,17 @@ def test_mcnemar_command():
     assert abs(result["p"] - 0.04139) <= 1e-6
 
 
+def test_mcnemar_command_counts_paired_outcomes():
+    outcomes = [(True, False)] * 5 + [(False, True)] * 15 + [(True, True)] * 30 + \
+               [(False, False)] * 4
+    proc = run_cli(["mcnemar"], stdin="\n".join(json.dumps({"a": a, "b": b})
+                                                 for a, b in outcomes))
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)
+    assert (result["b"], result["c"], result["degenerate"]) == (5, 15, False)
+    assert abs(result["p"] - 2.0 * sum(math.comb(20, i) for i in range(6)) / 2 ** 20) < 1e-12
+
+
 def test_mcnemar_rejects_a_non_boolean_outcome():
     lines = [json.dumps({"a": True, "b": False}), json.dumps({"a": "false", "b": True})]
     proc = run_cli(["mcnemar"], stdin="\n".join(lines))
@@ -712,6 +729,9 @@ def test_missing_subcommand_exits_2():
 # generator (subprocess) need; every other command starts without them.
 _ON_DEMAND = {"concurrent.futures.process", "multiprocessing", "subprocess", "hashlib",
               "_hashlib"}
+# Modules that no command loads: the nodes and records are plain classes, so
+# nothing generates code (dataclasses, which imports inspect) at start-up.
+_NEVER = {"dataclasses", "inspect"}
 
 
 def loaded_modules(args, stdin, tmp_path):
@@ -731,18 +751,23 @@ def loaded_modules(args, stdin, tmp_path):
 
 
 def test_commands_start_without_the_pool_subprocess_or_openssl(
-        schema_flag, db_dir, tmp_path):
+        schema_flag, schemas, db_dir, tmp_path):
     eval_lines = "\n".join(json.dumps({"db_id": o.db_id, "gold": o.gold_sql, "pred": sql})
                            for o in build_mock_beams()[:2] for sql, _ in o.beam[:2])
     beams = "\n".join(o.to_json() for o in build_mock_beams()[:2])
     db = ["--db-dir", str(db_dir)]
     runs = [(["eval", *schema_flag, *db], eval_lines),
             (["synth", *schema_flag, *db], beams),
+            (["synth", *schema_flag], beams),
             (["synth", *schema_flag, "--workers", "2"], ""),
             (["normalize", *schema_flag, "--db-id", "social"],
              "SELECT T1.text FROM tweets AS T1")]
     for args, stdin in runs:
-        assert loaded_modules(args, stdin, tmp_path) & _ON_DEMAND == set(), args
+        assert loaded_modules(args, stdin, tmp_path) & (_ON_DEMAND | _NEVER) == set(), args
+    record = json.dumps(_a_record(schemas)) + "\n"
+    simulate = loaded_modules(["simulate", *schema_flag, "--generator", "oracle"], record,
+                              tmp_path)
+    assert simulate & _NEVER == set()
 
 
 def test_the_pool_and_generators_load_what_they_use(schema_flag, schemas, tmp_path):
@@ -810,6 +835,31 @@ def test_a_reader_that_closes_stdout_ends_the_command_quietly(
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     assert json.loads(out.read_text(encoding="utf-8")) == 0
+
+
+def _mark_line(directory, line):
+    """A per-line function that leaves one file for each line it runs; the
+    lines after the first 40 take 5 ms each."""
+    if line == "bad":
+        raise SqlPatchError("a bad line")
+    time.sleep(0.005 if int(line) >= 40 else 0)
+    (Path(directory) / line).touch()
+    return line
+
+
+def test_a_failing_line_stops_the_pool(tmp_path):
+    """When a line fails, the chunks that no worker has taken never run. The
+    pool takes 8 chunks of 40 lines here, and the first, which holds the
+    failing line, ends long before the workers could reach the last."""
+    lines = ["0", "bad", *map(str, range(2, 320))]
+    source = tmp_path / "lines.txt"
+    source.write_text("\n".join(lines), encoding="utf-8")
+    ran = tmp_path / "ran"
+    ran.mkdir()
+    with pytest.raises(SqlPatchError, match="^line 2: a bad line$"):
+        list(_map_lines(partial(_mark_line, ran), str(source), workers=2))
+    assert (ran / "0").exists()
+    assert not any((ran / str(n)).exists() for n in range(280, 320))
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])

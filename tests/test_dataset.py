@@ -8,7 +8,7 @@ from sqlpatch import dataset, diffs
 from sqlpatch.clausemap import sql_to_clause_map, to_sql
 from sqlpatch.dataset import (
     REP_COMBOS, Y_SEPARATOR, ExampleRecord, ParserOutput, build_dev_set,
-    dataset_stats, serialize_example, split_folds, synthesize_train,
+    dataset_stats, make_record, split_folds, synthesize_train,
 )
 from sqlpatch.editscript import parse_edits
 from sqlpatch.errors import BackendUnavailable, DatasetError, ExecutionError, SqlPatchError
@@ -257,10 +257,13 @@ def test_invalid_rep_combo(schemas):
         synthesize_train(build_mock_beams(), schemas, reps=[("sql", "program")])
 
 
-def test_no_edit_pair_rejected(schemas):
-    wrong = parse_sql("select tweets.id from tweets", schemas["social"])
-    with pytest.raises(DatasetError, match="no edits"):
-        serialize_example("q", "social", wrong, wrong, "pydict", "program")
+def test_no_edit_pair_makes_no_record(schemas):
+    sql = "select tweets.id from tweets"
+    wrong = parse_sql(sql, schemas["social"])
+    output = ParserOutput("social", "q", sql, ((sql, 1.0),))
+    for query_rep, edit_rep in REP_COMBOS:
+        assert make_record(output, 0, 1.0, schemas["social"], wrong, wrong,
+                           query_rep, edit_rep) is None
 
 
 @pytest.mark.parametrize("edit_rep", ["clause", "program"])
@@ -274,6 +277,18 @@ def test_pydict_record_decomposes_each_query_once(schemas, monkeypatch, edit_rep
     # each record's wrong query, and the gold of each question with a record
     assert records and len(calls) == len(records) + len({(r.db_id, r.question)
                                                          for r in records})
+
+
+def test_pydict_records_render_each_query_text_once(schemas, monkeypatch):
+    calls = []
+    real = dataset.render_pydict
+    monkeypatch.setattr(dataset, "render_pydict",
+                        lambda cm, **kw: calls.append(cm) or real(cm, **kw))
+    records = [r for r in synthesize_train(build_mock_beams(), schemas)
+               if r.query_rep == "pydict"]
+    # each wrong query with a pydict record, and the gold of each question with one
+    assert records and len(calls) == (len({(r.db_id, r.question, r.beam_rank) for r in records})
+                                      + len({(r.db_id, r.question) for r in records}))
 
 
 def test_synthesis_renders_each_parsed_query_once(schemas, monkeypatch):

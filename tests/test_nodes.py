@@ -1,7 +1,7 @@
 """No code mutates an AST node after parse returns it, and no code mutates
 a token.
 
-Nodes are slotted dataclasses, so nothing stops an assignment at run time;
+Nodes are slotted classes, so nothing stops an assignment at run time;
 this suite stands in for a runtime freeze. normalize resolves the parser's
 fresh tree in place, before parse returns it, so that tree must share no
 node object. Every consumer of parsed ASTs runs over the seeded query
@@ -10,7 +10,6 @@ are named tuples, and the shared ones refuse assignment.
 """
 
 import copy
-from dataclasses import fields, is_dataclass
 
 import pytest
 from queryfuzz import QueryFuzzer
@@ -18,6 +17,7 @@ from queryfuzz import QueryFuzzer
 from sqlpatch.clausemap import decompose
 from sqlpatch.diffs import diff_program, diff_tokens
 from sqlpatch.metrics import exact_set_match
+from sqlpatch.nodes import Record
 from sqlpatch.parse import parse_sql
 from sqlpatch.render import render
 from sqlpatch.tokens import _SHARED
@@ -41,10 +41,10 @@ def test_consumers_leave_parsed_asts_unchanged(schemas):
 
 def _nodes(node):
     yield node
-    for field in fields(node):
-        value = getattr(node, field.name)
+    for name in node.__slots__:
+        value = getattr(node, name)
         for child in value if isinstance(value, tuple) else (value,):
-            if is_dataclass(child):
+            if isinstance(child, Record):
                 yield from _nodes(child)
 
 
