@@ -5,10 +5,12 @@ carries ``(subqueryN)`` placeholders and whose subqueries are clause maps
 of their own. A set operation stores the right-hand query as a nested
 clause map under the ``intersect``/``union``/``except`` key.
 
-One builder makes every map: a lexical split of canonical tokens at
-top-level clause keywords, with each ``( select ... )`` span extracted as a
-subquery. A query AST goes through it via its rendered tokens; clause text
-(edit payloads, program values, canonical SQL) via the tokenizer.
+This module is the one reader of clause text: it alone decides where a
+clause starts and ends, and what a placeholder key is. One builder makes
+every map: a lexical split of canonical tokens at top-level clause
+keywords, with each ``( select ... )`` span extracted as a subquery. A
+query AST goes through it via its rendered tokens; clause text (edit
+payloads, program values, canonical SQL) via one tokenizer pass.
 """
 
 from __future__ import annotations
@@ -16,22 +18,30 @@ from __future__ import annotations
 import re
 from typing import Iterator, Optional, Union
 
-from .errors import MapError
+from .errors import MapError, TokenizeError
 from .nodes import Query
 from .render import render_tokens
-from .tokens import detokenize, tokenize
+from .tokens import CLAUSE_KEYWORDS, QUOTED, detokenize, tokenize
 
 CLAUSE_KEYS = ("select", "from", "where", "groupBy", "having", "orderBy",
                "limit", "intersect", "union", "except")
 CLAUSE_INDEX = {key: i for i, key in enumerate(CLAUSE_KEYS)}
 SET_OP_KEYS = ("intersect", "union", "except")
 
-_KEYWORD_TO_KEY = {"select": "select", "from": "from", "where": "where",
-                   "group": "groupBy", "having": "having", "order": "orderBy",
-                   "limit": "limit"}
-_MARKERS = frozenset(("(", ")", *SET_OP_KEYS, *_KEYWORD_TO_KEY))
+# tokens.CLAUSE_KEYWORDS holds the keyword that starts each clause, in key order.
+_KEYWORD_TO_KEY = dict(zip(CLAUSE_KEYWORDS, CLAUSE_KEYS))
+_MARKERS = frozenset(("(", ")", *CLAUSE_KEYWORDS))
+
+_placeholder = "subquery{}".format  # the key of a clause's i-th subquery
+_PLACEHOLDER = r"subquery\d+"
+_is_placeholder = re.compile(_PLACEHOLDER).fullmatch
 # A placeholder, or a quoted literal to pass over: 'subquery0' is a value.
-_PLACEHOLDER_RE = re.compile(r"""'[^']*'|"[^"]*"|\bsubquery\d+\b""")
+_PLACEHOLDER_RE = re.compile(rf"{QUOTED}|\b{_PLACEHOLDER}\b")
+
+
+def placeholder_index(key: str) -> Optional[int]:
+    """i when key is the placeholder of the i-th subquery, else None."""
+    return int(key.removeprefix("subquery")) if _is_placeholder(key) else None
 
 
 class Composite:
@@ -43,7 +53,7 @@ class Composite:
         named = [m for m in _PLACEHOLDER_RE.findall(clause) if m[0] not in "'\""]
         if len(named) != len(set(named)):
             raise MapError(f"placeholder repeated in clause text: {clause!r}")
-        expected = [f"subquery{i}" for i in range(len(named))]
+        expected = [_placeholder(i) for i in range(len(named))]
         if named != expected:
             raise MapError(
                 f"placeholders must be subquery0..subquery{len(named) - 1} "
@@ -194,24 +204,27 @@ def sql_to_clause_map(sql: str) -> ClauseMap:
 
 
 def entry_from_clause_text(key: str, text: str) -> Entry:
-    """Build one entry from its SQL text (used when applying edits whose
-    payloads are plain clause text)."""
+    """Build one entry from its SQL text (an edit program's value): the
+    text of a set operation is its right-hand query, any other text starts
+    with its clause's keyword."""
     if key not in CLAUSE_INDEX:
         raise MapError(f"unknown clause key {key!r}")
     tokens = [t.text for t in tokenize(text)]
-    if key in SET_OP_KEYS:
-        return _tokens_to_map(tokens)
-    lead = {v: k for k, v in _KEYWORD_TO_KEY.items()}[key]
-    if not tokens or tokens[0] != lead:
+    lead = CLAUSE_KEYWORDS[CLAUSE_INDEX[key]]
+    if key not in SET_OP_KEYS and tokens[0] != lead:
         raise MapError(f"clause text for {key!r} must start with {lead!r}: {text!r}")
-    return _make_entry(tokens)
+    return _entry(key, tokens)
 
 
-def split_clause_texts(text: str) -> list[tuple[str, str]]:
-    """Split a run of clause texts (or a whole query) into (key, text) pairs
-    at top-level clause keywords."""
-    tokens = [t.text for t in tokenize(text)]
-    return [(key, detokenize(seg)) for key, seg in _split_segments(tokens)]
+def clause_entries(text: str) -> list[tuple[str, Entry]]:
+    """The (key, entry) pairs of a run of clause texts (or a whole query),
+    split at top-level clause keywords in one token pass."""
+    pairs = []
+    for key, seg in _split_segments([t.text for t in tokenize(text)]):
+        if not seg:  # a set operation with no query after it
+            raise TokenizeError("empty input")
+        pairs.append((key, _entry(key, seg)))
+    return pairs
 
 
 def _split_segments(tokens: list[str]) -> list[tuple[str, list[str]]]:
@@ -246,13 +259,15 @@ def _split_segments(tokens: list[str]) -> list[tuple[str, list[str]]]:
 def _tokens_to_map(tokens: list[str]) -> ClauseMap:
     cm = ClauseMap()
     for key, seg in _split_segments(tokens):
-        if key in SET_OP_KEYS:
-            cm.set(key, _tokens_to_map(seg))
-        else:
-            if key in cm:
-                raise MapError(f"clause {key!r} appears twice")
-            cm.set(key, _make_entry(seg))
+        if key in cm:
+            raise MapError(f"clause {key!r} appears twice")
+        cm.set(key, _entry(key, seg))
     return cm
+
+
+def _entry(key: str, tokens: list[str]) -> Entry:
+    """The entry of one clause's tokens; a set operation's are its query."""
+    return _tokens_to_map(tokens) if key in SET_OP_KEYS else _make_entry(tokens)
 
 
 def _make_entry(tokens: list[str]) -> Entry:
@@ -265,7 +280,7 @@ def _make_entry(tokens: list[str]) -> Entry:
     while i < len(tokens) - 1:
         if tokens[i] == "(" and tokens[i + 1] == "select":
             j = _matching_paren(tokens, i)
-            out += tokens[start:i] + ["(", f"subquery{len(subs)}", ")"]
+            out += tokens[start:i] + ["(", _placeholder(len(subs)), ")"]
             subs.append(tokens[i + 1:j])
             start = i = j + 1
         else:
@@ -274,7 +289,7 @@ def _make_entry(tokens: list[str]) -> Entry:
     if not subs:
         return detokenize(out)
     return Composite(detokenize(out),
-                     {f"subquery{k}": _tokens_to_map(body) for k, body in enumerate(subs)})
+                     {_placeholder(k): _tokens_to_map(body) for k, body in enumerate(subs)})
 
 
 def _matching_paren(tokens: list[str], start: int) -> int:

@@ -18,10 +18,6 @@ from functools import partial
 
 # What every command runs; each command imports the rest it runs at its start.
 from .errors import DatasetError, SchemaError, SqlPatchError
-from .metrics import (
-    EvalOutcome, SqliteBackend, exact_set_match, execution_match, mcnemar_counts,
-    orders_result, query_rows,
-)
 from .parse import parse_sql
 from .render import render
 from .schema import json_fields, load_tables_json
@@ -313,8 +309,7 @@ def _cmd_render_edits(args, parser) -> int:
     if args.parse:
         script = parse_edits(_read(args.input).strip(), args.granularity)
         for action in script.actions:
-            print(json.dumps({"kind": action.kind, "old": action.old,
-                              "new": action.new}, ensure_ascii=False))
+            print(action.to_json())
         return 0
     read = partial(json_fields, types=dict.fromkeys(("kind", "old", "new"), str),
                    defaults={"old": "", "new": ""})
@@ -336,9 +331,7 @@ def _cmd_apply(args, parser) -> int:
     rep = REPRESENTATIONS[args.granularity]
     edits = rep.parse_edits(_read(args.edits))
     if args.report:
-        applied = apply_token_edits(wrong_sql, edits)
-        print(json.dumps({"result": applied.result, "ambiguous_spans": applied.ambiguous_spans,
-                          "skipped": applied.skipped}, ensure_ascii=False))
+        print(apply_token_edits(wrong_sql, edits).to_json())
     else:
         print(rep.apply(wrong_sql, edits))
     return 0
@@ -347,6 +340,7 @@ def _cmd_apply(args, parser) -> int:
 def _open_backend(args):
     """A context manager giving the SQLite backend of --db-dir, closed on
     exit, or None without one."""
+    from .metrics import SqliteBackend
     return SqliteBackend(args.db_dir) if args.db_dir else nullcontext()
 
 
@@ -354,6 +348,7 @@ _EVAL_FIELDS = dict.fromkeys(("db_id", "gold", "pred"), str)
 
 
 def _eval_line(line, schemas, backend):
+    from .metrics import EvalOutcome, exact_set_match, execution_match, orders_result, query_rows
     db_id, gold_text, pred_text = json_fields(line, _EVAL_FIELDS)
     schema = _schema_of(schemas, db_id)
     pred = parse_sql(pred_text, schema)
@@ -373,7 +368,7 @@ def _cmd_eval(args, parser) -> int:
     with _open_backend(args) as backend:
         for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
                                   args.input, args.workers):
-            print(json.dumps({"em": outcome.em, "ex": outcome.ex}, ensure_ascii=False))
+            print(outcome.to_json())
             outcomes.append(outcome)
     n = len(outcomes)
     if n:
@@ -385,14 +380,13 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_mcnemar(args, parser) -> int:
+    from .metrics import mcnemar_counts
     b = c = 0
     for a_ok, b_ok in _map_lines(partial(json_fields, types={"a": bool, "b": bool}),
                                  args.input):
         b += a_ok and not b_ok
         c += (not a_ok) and b_ok
-    result = mcnemar_counts(b, c)
-    print(json.dumps({"b": result.b, "c": result.c, "p": result.p,
-                      "degenerate": result.degenerate}))
+    print(mcnemar_counts(b, c).to_json())
     return 0
 
 
@@ -453,8 +447,7 @@ def _cmd_build_dev(args, parser) -> int:
 
 def _cmd_stats(args, parser) -> int:
     from .dataset import ExampleRecord, dataset_stats
-    stats = dataset_stats(list(_map_lines(ExampleRecord.from_json, args.input)))
-    print(json.dumps({"count": stats.count, "avg_edits": stats.avg_edits}))
+    print(dataset_stats(list(_map_lines(ExampleRecord.from_json, args.input))).to_json())
     return 0
 
 

@@ -13,7 +13,7 @@ import random
 from functools import cached_property, partial
 from typing import Optional
 
-from .clausemap import CLAUSE_INDEX, decompose, sql_to_clause_map, to_sql
+from .clausemap import CLAUSE_INDEX, decompose, placeholder_index, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
 from .editscript import EditScript, parse_edits, render_edits
 from .errors import DatasetError, SqlPatchError
@@ -51,9 +51,9 @@ class Representation:
     granularity = query_rep = edit_rep = ""
 
     def prepare(self, query):
-        """The form of a parsed query of a question that diff takes: its AST
-        here, its clause map for the pydict rows."""
-        return query.ast
+        """The form of a parsed query of a question that diff takes: its
+        clause map here, its AST for token edits."""
+        return query.clause_map
 
     def diff(self, wrong, gold):
         """The edit script or program that turns the wrong query into the
@@ -88,6 +88,9 @@ class Representation:
 class _TokenEdits(Representation):
     granularity, query_rep, edit_rep = "token", "sql", "token"
 
+    def prepare(self, query):
+        return query.ast
+
     def diff(self, wrong, gold):
         return diff_tokens(wrong, gold)
 
@@ -107,9 +110,6 @@ class _ClauseSqlEdits(Representation):
 
 class _PydictQuery(Representation):
     query_rep = "pydict"
-
-    def prepare(self, query):
-        return query.clause_map
 
     def render_query(self, query) -> str:
         return query.pydict
@@ -141,7 +141,7 @@ class _ProgramEdits(_PydictQuery):
         """Canonical walk order of the entry a statement targets."""
         path = stmt.path + (stmt.key,) if isinstance(stmt, Pop) else stmt.path
         return tuple((0, CLAUSE_INDEX[part]) if part in CLAUSE_INDEX
-                     else (1, int(part.removeprefix("subquery"))) for part in path)
+                     else (1, placeholder_index(part)) for part in path)
 
 
 REPRESENTATIONS = {rep.granularity: rep for rep in (
@@ -216,9 +216,6 @@ class ExampleRecord(Record, hashable=True):
     @staticmethod
     def from_json(line: str) -> "ExampleRecord":
         return ExampleRecord(*json_fields(line, _RECORD_FIELDS, only=True))
-
-    def to_json(self) -> str:
-        return json.dumps(dict(zip(self.__slots__, self._values())), ensure_ascii=False)
 
 
 _PARSER_OUTPUT_FIELDS = {"db_id": str, "question": str, "gold_sql": str, "beam": list}

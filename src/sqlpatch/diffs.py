@@ -17,8 +17,7 @@ from .clausemap import (
     CLAUSE_INDEX, ClauseMap, Composite, decompose, entry_sql, entry_value_sql,
 )
 from .editscript import EditAction, EditScript
-from .nodes import Record
-from .nodes import Query
+from .nodes import Query, Record
 from .program import Assign, EditProgram, Pop
 from .pydict import render_entry_fragment
 from .render import render_tokens

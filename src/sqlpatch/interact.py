@@ -59,15 +59,6 @@ class SessionLog(Record):
         self.selected = [] if selected is None else selected
         self.result_sql, self.fully_corrected = result_sql, fully_corrected
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "steps": [{"candidates": s.candidates, "selected": s.selected,
-                       "depth": s.depth} for s in self.steps],
-            "selected": self.selected,
-            "result_sql": self.result_sql,
-            "fully_corrected": self.fully_corrected,
-        }, ensure_ascii=False)
-
 
 def gold_action_strings(gold) -> list[str]:
     """Render a script or program as one string per action/statement."""

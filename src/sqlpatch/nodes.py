@@ -8,6 +8,7 @@ tree in place, so a parsed tree shares no node.
 
 from __future__ import annotations
 
+import json
 from typing import Optional, Union
 
 
@@ -38,6 +39,14 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    def _fields(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def to_json(self) -> str:
+        """The record as one JSON object: each field under its name, in
+        ``__slots__`` order; a record in a field is such an object too."""
+        return json.dumps(self._fields(), ensure_ascii=False, default=Record._fields)
 
 
 class ColumnRef(Record):
@@ -92,8 +101,9 @@ class Literal(Record):
         self.text = text  # verbatim token text (strings keep their quotes)
 
     def value(self) -> str:
-        if self.kind == "string":
-            return self.text[1:-1]
+        if self.kind == "string":  # the text inside the quotes, a doubled quote read as one
+            quote = self.text[0]
+            return self.text[1:-1].replace(quote * 2, quote)
         return self.text
 
 

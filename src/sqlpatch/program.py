@@ -12,20 +12,17 @@ rejected at parse time.
 from __future__ import annotations
 
 import json
-import re
 from functools import partial
 from typing import Union
 
-from .clausemap import CLAUSE_INDEX
+from .clausemap import CLAUSE_INDEX, placeholder_index
 from .errors import ProgramError
 from .nodes import Record
 from .pydict import Cursor, lex
 
-_SUBQUERY_RE = re.compile(r"^subquery\d+$")
-
 
 def _check_key(key: str, line=None):
-    if key not in CLAUSE_INDEX and not _SUBQUERY_RE.match(key):
+    if key not in CLAUSE_INDEX and placeholder_index(key) is None:
         raise ProgramError(f"invalid key {key!r}", line=line)
 
 
@@ -69,11 +66,10 @@ class EditProgram(Record, hashable=True):
 def render_program(program: EditProgram) -> str:
     lines = []
     for stmt in program.stmts:
+        path = "".join(f"[{json.dumps(k)}]" for k in stmt.path)
         if isinstance(stmt, Assign):
-            path = "".join(f"[{json.dumps(k)}]" for k in stmt.path)
             lines.append(f"sql{path} = {json.dumps(stmt.value, ensure_ascii=False)}")
         else:
-            path = "".join(f"[{json.dumps(k)}]" for k in stmt.path)
             lines.append(f"sql{path}.pop({json.dumps(stmt.key)})")
     return "\n".join(lines)
 

@@ -28,10 +28,13 @@ KEYWORDS = frozenset(
 COMPARE_OPS = ("=", "!=", "<=", ">=", "<", ">")
 ARITH_OPS = ("+", "-", "*", "/")
 
+# A quoted literal: its quote character written twice stands for itself.
+QUOTED = r"'[^']*(?:''[^']*)*'" r'|"[^"]*(?:""[^"]*)*"'
+
 # Every token is one match; whitespace matches nothing, and "\S" catches any
 # other character, so the matches cover the input. A word that starts like a
 # number (a digit, or "." and a digit) but is not a plain number is malformed.
-_TOKEN_RE = re.compile(r"""'[^']*'|"[^"]*"|[A-Za-z0-9_.]+(?:(?<=\.)\*)?"""
+_TOKEN_RE = re.compile(QUOTED + r"|[A-Za-z0-9_.]+(?:(?<=\.)\*)?"
                        r"|<=|>=|!=|<>|[=<>+\-/*(),;]|\S")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?").fullmatch
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
@@ -104,13 +107,8 @@ def detokenize(texts) -> str:
     out: list[str] = []
     prev = None
     for text in texts:
-        if prev is None:
-            out.append(text)
-        elif prev == "(":
-            out.append(text)
-        elif text in (")", ","):
-            out.append(text)
-        elif text == "(" and prev in AGGREGATORS:
+        if (prev is None or prev == "(" or text in (")", ",")
+                or text == "(" and prev in AGGREGATORS):
             out.append(text)
         else:
             out.append(" " + text)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 
 from .clausemap import (
-    CLAUSE_INDEX, SET_OP_KEYS, ClauseMap, Composite, Entry,
-    entry_from_clause_text, split_clause_texts, sql_to_clause_map,
+    CLAUSE_INDEX, SET_OP_KEYS, ClauseMap, Composite, Entry, clause_entries,
+    entry_from_clause_text, placeholder_index, sql_to_clause_map,
 )
 from .editscript import EditScript
 from .errors import ApplyError, ExecError, MapError, PyDictError, TokenizeError
@@ -93,7 +93,7 @@ def _descend(root: ClauseMap, path):
 
 
 def _entry_from_value(key: str, value: str) -> Entry:
-    if key in SET_OP_KEYS or key.startswith("subquery"):
+    if key in SET_OP_KEYS or placeholder_index(key) is not None:
         return _subquery_map(value)
     try:
         return entry_from_clause_text(key, value)
@@ -219,8 +219,7 @@ def clause_content_pairs(text: str, granularity: str) -> list:
     try:
         if granularity == "clause-pydict":
             return parse_entry_fragments(text)
-        return [(key, entry_from_clause_text(key, segment))
-                for key, segment in split_clause_texts(text)]
+        return clause_entries(text)
     except (MapError, PyDictError, TokenizeError) as exc:
         raise ApplyError(f"malformed action content: {exc}") from None
 

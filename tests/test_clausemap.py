@@ -6,8 +6,8 @@ from paperdata import CASE_CARS, CASE_TWEETS, CASES
 from queryfuzz import QueryFuzzer
 
 from sqlpatch.clausemap import (
-    ClauseMap, Composite, decompose, entry_from_clause_text, entry_sql,
-    split_clause_texts, sql_to_clause_map, to_sql,
+    ClauseMap, Composite, clause_entries, decompose, entry_from_clause_text, entry_sql,
+    sql_to_clause_map, to_sql,
 )
 from sqlpatch.errors import MapError
 from sqlpatch.parse import parse_sql
@@ -124,10 +124,10 @@ def test_entry_from_clause_text_checks_keyword():
         entry_from_clause_text("where", "order by a.b")
 
 
-def test_split_clause_texts():
-    segments = split_clause_texts("order by cars_data.horsepower desc limit 1")
-    assert segments == [("orderBy", "order by cars_data.horsepower desc"),
-                        ("limit", "limit 1")]
+def test_clause_entries():
+    entries = clause_entries("order by cars_data.horsepower desc limit 1")
+    assert entries == [("orderBy", "order by cars_data.horsepower desc"),
+                       ("limit", "limit 1")]
 
 
 def test_dangling_placeholder_cannot_be_built():

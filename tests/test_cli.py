@@ -789,6 +789,9 @@ def test_the_pool_and_generators_load_what_they_use(schema_flag, schemas, tmp_pa
 # scoring, normalizing and the McNemar test do not.
 _SYNTHESIS = {f"sqlpatch.{name}" for name in (
     "dataset", "clausemap", "diffs", "editscript", "program", "pydict", "vm", "interact")}
+# The modules that scoring and the McNemar test run, and that the commands
+# over single queries and edit texts do not.
+_SCORING = {"sqlpatch.metrics", "sqlite3"}
 
 
 def test_commands_load_only_the_modules_they_run(schema_flag, db_dir, tmp_path):
@@ -804,6 +807,14 @@ def test_commands_load_only_the_modules_they_run(schema_flag, db_dir, tmp_path):
     synth = loaded_modules(["synth", *schema_flag], "\n".join(o.to_json() for o in beams),
                            tmp_path)
     assert synth & _SYNTHESIS == _SYNTHESIS - {"sqlpatch.interact"}
+    assert loaded_modules(*runs[0], tmp_path) >= _SCORING
+    action = json.dumps({"kind": "replace", "old": "order by tweets.text",
+                         "new": "order by tweets.createdate"})
+    pydict = 'sql = {"select": "select tweets.text", "from": "from tweets"}'
+    for args, stdin in [runs[1], (["pydict", *schema_flag, "--db-id", "social"], runs[1][1]),
+                        (["to-sql"], pydict),
+                        (["render-edits", "--granularity", "clause-sql"], action)]:
+        assert loaded_modules(args, stdin, tmp_path) & _SCORING == set(), args
 
 
 @pytest.mark.parametrize("args", [["synth"], ["synth", "--workers", "2"],

@@ -3,15 +3,16 @@ import signal
 import sys
 import textwrap
 import time
+from collections import Counter
 
 import pytest
 
 from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS, CASES
 
 from sqlpatch.clausemap import decompose, sql_to_clause_map, to_sql
-from sqlpatch import interact
+from sqlpatch import clausemap, interact
 from sqlpatch.dataset import ExampleRecord
-from sqlpatch.diffs import diff_program
+from sqlpatch.diffs import diff_clauses_sql, diff_program
 from sqlpatch.errors import SqlPatchError
 from sqlpatch.interact import (
     Candidate, OracleGenerator, SubprocessGenerator, execute_selected,
@@ -31,6 +32,29 @@ def record_for(case, schemas):
         x="q | " + schema.serialize() + " | " + case.pydict_wrong,
         y=case.program, n_edits=case.program.count("\n") + 1,
         beam_rank=0, beam_score=1.0)
+
+
+def test_a_clause_sql_replay_tokenizes_each_content_text_once_per_parse(schemas, monkeypatch):
+    """execute_selected reads an action's old side (its new side, for an
+    insert) once to order it and each side once to apply it; each read is
+    one token pass over the text."""
+    case = CASE_CARS
+    schema = schemas[case.db_id]
+    script = diff_clauses_sql(parse_sql(case.wrong, schema), parse_sql(case.gold, schema))
+    record = ExampleRecord(
+        db_id=case.db_id, question="q", schema_serial=schema.serialize(),
+        wrong_sql=case.wrong, gold_sql=case.gold, query_rep="sql", edit_rep="clause",
+        x="", y="", n_edits=len(script.actions), beam_rank=0, beam_score=1.0)
+    expected = Counter({case.wrong: 1})
+    for action in script.actions:
+        expected.update(text for text in (action.old or action.new, action.old, action.new)
+                        if text)
+    assert {action.kind for action in script.actions} == {"replace", "insert"}
+    texts = []
+    tokenize = clausemap.tokenize
+    monkeypatch.setattr(clausemap, "tokenize", lambda text: texts.append(text) or tokenize(text))
+    assert execute_selected(record, gold_action_strings(script)) == case.gold
+    assert Counter(texts) == expected
 
 
 def gold_program(case, schemas):
