@@ -2,15 +2,14 @@
 
 A clause containing nested subqueries becomes a composite entry whose text
 carries ``(subqueryN)`` placeholders and whose subqueries are clause maps
-of their own. A set operation stores the right-hand query as a nested
-clause map under the ``intersect``/``union``/``except`` key.
+of their own. A set operation needs a query after it, and stores it as a
+nested clause map under the ``intersect``/``union``/``except`` key.
 
-This module is the one reader of clause text: it alone decides where a
-clause starts and ends, and what a placeholder key is. One builder makes
-every map: a lexical split of canonical tokens at top-level clause
-keywords, with each ``( select ... )`` span extracted as a subquery. A
-query AST goes through it via its rendered tokens; clause text (edit
-payloads, program values, canonical SQL) via one tokenizer pass.
+This module is the one reader of clause text: one recursive reader decides
+where a clause, a subquery and a set operation end, in one pass over the
+canonical tokens, and builds every map and entry. A query AST goes through
+it via its rendered tokens; clause text (edit payloads, program values,
+canonical SQL) via one tokenizer pass.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Optional, Union
 
-from .errors import MapError, TokenizeError
+from .errors import MapError
 from .nodes import Query
 from .render import render_tokens
 from .tokens import CLAUSE_KEYWORDS, QUOTED, detokenize, tokenize
@@ -30,7 +29,6 @@ SET_OP_KEYS = ("intersect", "union", "except")
 
 # tokens.CLAUSE_KEYWORDS holds the keyword that starts each clause, in key order.
 _KEYWORD_TO_KEY = dict(zip(CLAUSE_KEYWORDS, CLAUSE_KEYS))
-_MARKERS = frozenset(("(", ")", *CLAUSE_KEYWORDS))
 
 _placeholder = "subquery{}".format  # the key of a clause's i-th subquery
 _PLACEHOLDER = r"subquery\d+"
@@ -89,6 +87,8 @@ class ClauseMap:
         if entries:
             pairs = entries.items() if isinstance(entries, dict) else entries
             for key, value in pairs:
+                if key in self._entries:
+                    raise MapError(f"clause {key!r} appears twice")
                 self.set(key, value)
 
     def set(self, key: str, entry: Entry) -> None:
@@ -147,7 +147,7 @@ def decompose(query: Query) -> ClauseMap:
     """Split a normalized query into its clause map, depth first: subqueries
     become independent clause maps referenced by placeholders. This is the
     lexical split of the query's canonical tokens."""
-    return _tokens_to_map(render_tokens(query))
+    return ClauseMap(_read_all(render_tokens(query)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,105 +200,87 @@ def sql_to_clause_map(sql: str) -> ClauseMap:
     """Build a clause map from canonical SQL text without a schema, by
     splitting at top-level clause keywords and extracting ``(select ...)``
     spans. On render output this is :func:`decompose`."""
-    return _tokens_to_map([t.text for t in tokenize(sql)])
+    return ClauseMap(_read_all([t.text for t in tokenize(sql)]))
 
 
 def entry_from_clause_text(key: str, text: str) -> Entry:
-    """Build one entry from its SQL text (an edit program's value): the
-    text of a set operation is its right-hand query, any other text starts
-    with its clause's keyword."""
+    """Build one entry from its SQL text (an edit program's value): exactly
+    one clause, which starts with its key's keyword. A set operation's text
+    is its keyword and then its query, as :func:`entry_sql` writes it."""
     if key not in CLAUSE_INDEX:
         raise MapError(f"unknown clause key {key!r}")
     tokens = [t.text for t in tokenize(text)]
     lead = CLAUSE_KEYWORDS[CLAUSE_INDEX[key]]
-    if key not in SET_OP_KEYS and tokens[0] != lead:
+    if tokens[0] != lead:
         raise MapError(f"clause text for {key!r} must start with {lead!r}: {text!r}")
-    return _entry(key, tokens)
+    (_, entry), *more = _read_all(tokens)
+    if more:
+        raise MapError(f"clause text for {key!r} holds a second clause, "
+                       f"{more[0][0]!r}: {text!r}")
+    return entry
 
 
 def clause_entries(text: str) -> list[tuple[str, Entry]]:
     """The (key, entry) pairs of a run of clause texts (or a whole query),
-    split at top-level clause keywords in one token pass."""
-    pairs = []
-    for key, seg in _split_segments([t.text for t in tokenize(text)]):
-        if not seg:  # a set operation with no query after it
-            raise TokenizeError("empty input")
-        pairs.append((key, _entry(key, seg)))
+    in one token pass."""
+    return _read_all([t.text for t in tokenize(text)])
+
+
+def _read_all(tokens: list[str]) -> list[tuple[str, Entry]]:
+    pairs, stop = _read(tokens, 0)
+    if stop < len(tokens):  # a ")" that closes nothing
+        raise MapError("unbalanced parenthesis in clause text")
     return pairs
 
 
-def _split_segments(tokens: list[str]) -> list[tuple[str, list[str]]]:
-    """(key, tokens) of each top-level clause; a set operation takes the
-    rest of the tokens, its keyword left out."""
-    if tokens and (tokens[0] == "(" or tokens[0] not in _MARKERS):
-        raise MapError(f"clause text must start with a clause keyword, got {tokens[0]!r}")
-    segments: list[tuple[str, list[str]]] = []
+def _read(tokens: list[str], i: int) -> tuple[list[tuple[str, Entry]], int]:
+    """The (key, entry) pairs of the clause run that starts at tokens[i], and
+    the index where it stops: the ``)`` that closes the span the run is in,
+    or the end of the tokens. Clause keywords split the run where the depth
+    counter is 0; each ``( select ... )`` span is read by a recursive call
+    and becomes the clause's next ``subqueryN``; a set operation takes the
+    rest of the run as its query, its keyword left out."""
+    if tokens[i] not in _KEYWORD_TO_KEY:
+        raise MapError(f"clause text must start with a clause keyword, got {tokens[i]!r}")
+    n = len(tokens)
+    pairs: list[tuple[str, Entry]] = []
     key = None
-    start = depth = 0
-    for i, tok in enumerate(tokens):
-        if tok not in _MARKERS:
-            continue
+    depth = 0
+    while i < n:
+        tok = tokens[i]
         if tok == "(":
+            if i + 1 < n and tokens[i + 1] == "select":
+                sub, stop = _read(tokens, i + 1)
+                if stop == n:
+                    raise MapError("unbalanced parenthesis in clause text")
+                name = _placeholder(len(subs))
+                subs[name] = ClauseMap(sub)
+                text += tokens[start:i]
+                text += ("(", name, ")")
+                start = i = stop + 1
+                continue
             depth += 1
         elif tok == ")":
+            if not depth:
+                break
             depth -= 1
-            if depth < 0:
-                raise MapError("unbalanced parenthesis in clause text")
-        elif depth == 0:
+        elif not depth and tok in _KEYWORD_TO_KEY:
             if key is not None:
-                segments.append((key, tokens[start:i]))
+                pairs.append((key, _entry(text + tokens[start:i], subs)))
             if tok in SET_OP_KEYS:
-                segments.append((tok, tokens[i + 1:]))
-                return segments
-            key, start = _KEYWORD_TO_KEY[tok], i
-    if key is not None:
-        segments.append((key, tokens[start:]))
-    return segments
+                if i + 1 == n or tokens[i + 1] == ")":
+                    raise MapError(f"set operation {tok!r} has no query after it")
+                rest, stop = _read(tokens, i + 1)
+                pairs.append((tok, ClauseMap(rest)))
+                return pairs, stop
+            key, text, subs, start = _KEYWORD_TO_KEY[tok], [], {}, i
+        i += 1
+    if depth:
+        raise MapError("unbalanced parenthesis in clause text")
+    pairs.append((key, _entry(text + tokens[start:i], subs)))
+    return pairs, i
 
 
-def _tokens_to_map(tokens: list[str]) -> ClauseMap:
-    cm = ClauseMap()
-    for key, seg in _split_segments(tokens):
-        if key in cm:
-            raise MapError(f"clause {key!r} appears twice")
-        cm.set(key, _entry(key, seg))
-    return cm
-
-
-def _entry(key: str, tokens: list[str]) -> Entry:
-    """The entry of one clause's tokens; a set operation's are its query."""
-    return _tokens_to_map(tokens) if key in SET_OP_KEYS else _make_entry(tokens)
-
-
-def _make_entry(tokens: list[str]) -> Entry:
-    """Clause text, or a composite entry when ``( select ... )`` spans occur."""
-    if "select" not in tokens[1:]:
-        return detokenize(tokens)
-    out: list[str] = []
-    subs: list[list[str]] = []
-    start = i = 0
-    while i < len(tokens) - 1:
-        if tokens[i] == "(" and tokens[i + 1] == "select":
-            j = _matching_paren(tokens, i)
-            out += tokens[start:i] + ["(", _placeholder(len(subs)), ")"]
-            subs.append(tokens[i + 1:j])
-            start = i = j + 1
-        else:
-            i += 1
-    out += tokens[start:]
-    if not subs:
-        return detokenize(out)
-    return Composite(detokenize(out),
-                     {_placeholder(k): _tokens_to_map(body) for k, body in enumerate(subs)})
-
-
-def _matching_paren(tokens: list[str], start: int) -> int:
-    depth = 0
-    for i in range(start, len(tokens)):
-        if tokens[i] == "(":
-            depth += 1
-        elif tokens[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise MapError("unbalanced parenthesis in clause text")
+def _entry(tokens: list[str], subs: dict[str, ClauseMap]) -> Entry:
+    """Clause text, or a composite entry when the clause has subqueries."""
+    return Composite(detokenize(tokens), subs) if subs else detokenize(tokens)

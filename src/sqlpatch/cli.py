@@ -32,8 +32,8 @@ def main(argv=None) -> int:
         status = args.func(args, args.parser)
         sys.stdout.flush()
         return status
-    except SqlPatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SqlPatchError, RecursionError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader of stdout has gone: point stdout at devnull so that the
@@ -202,6 +202,12 @@ def _schema_of(schemas, db_id):
     return schema
 
 
+def _reason(exc) -> str:
+    """What a domain error says; input nested past Python's recursion limit
+    ends the run as one."""
+    return "input nested too deeply" if isinstance(exc, RecursionError) else str(exc)
+
+
 def _map_lines(fn, path, workers: int = 1):
     """Yield fn(line) for every non-blank JSONL input line, in input order.
     With workers > 1 and at least two lines, on a process pool (imported
@@ -231,8 +237,8 @@ def _map_lines(fn, path, workers: int = 1):
                     raise result
                 yield result
                 done += 1
-        except SqlPatchError as exc:
-            raise SqlPatchError(f"line {numbered[done][0]}: {exc}") from None
+        except (SqlPatchError, RecursionError) as exc:
+            raise SqlPatchError(f"line {numbered[done][0]}: {_reason(exc)}") from None
 
 
 _worker_fn = None  # a pool worker's per-line function, set by _init_worker

@@ -14,10 +14,10 @@ from collections import deque
 
 from .clausemap import (
     CLAUSE_INDEX, SET_OP_KEYS, ClauseMap, Composite, Entry, clause_entries,
-    entry_from_clause_text, placeholder_index, sql_to_clause_map,
+    entry_from_clause_text, sql_to_clause_map,
 )
 from .editscript import EditScript
-from .errors import ApplyError, ExecError, MapError, PyDictError, TokenizeError
+from .errors import ApplyError, ExecError, MapError, PyDictError, SqlPatchError, TokenizeError
 from .nodes import Record
 from .program import Assign, EditProgram, Pop
 from .pydict import parse_entry_fragments
@@ -48,17 +48,16 @@ def exec_program(cm: ClauseMap, program: EditProgram) -> ClauseMap:
 def _exec_assign(root: ClauseMap, stmt: Assign) -> None:
     container = _descend(root, stmt.path[:-1])
     key = stmt.path[-1]
-    if isinstance(container, ClauseMap):
-        try:
-            container.set(key, _entry_from_value(key, stmt.value))
-        except MapError as exc:
-            raise ExecError(f"cannot assign {_fmt(stmt.path)}: {exc}") from None
-    else:  # Composite: key must be an already-referenced placeholder
-        if key not in container.subqueries:
-            raise ExecError(
-                f"cannot assign {_fmt(stmt.path)}: placeholder {key!r} is not "
-                f"referenced by the clause text")
-        container.subqueries[key] = _subquery_map(stmt.value)
+    try:
+        if isinstance(container, ClauseMap):  # a set operation's value is a query
+            container.set(key, sql_to_clause_map(stmt.value) if key in SET_OP_KEYS
+                          else entry_from_clause_text(key, stmt.value))
+        elif key in container.subqueries:
+            container.subqueries[key] = sql_to_clause_map(stmt.value)
+        else:  # a Composite takes only the placeholders its clause text references
+            raise MapError(f"placeholder {key!r} is not referenced by the clause text")
+    except SqlPatchError as exc:
+        raise ExecError(f"cannot assign {_fmt(stmt.path)}: {exc}") from None
 
 
 def _exec_pop(root: ClauseMap, stmt: Pop) -> None:
@@ -90,22 +89,6 @@ def _descend(root: ClauseMap, path):
     if isinstance(node, str):
         raise ExecError(f"{_fmt(path)} is plain clause text, cannot descend into it")
     return node
-
-
-def _entry_from_value(key: str, value: str) -> Entry:
-    if key in SET_OP_KEYS or placeholder_index(key) is not None:
-        return _subquery_map(value)
-    try:
-        return entry_from_clause_text(key, value)
-    except MapError as exc:
-        raise ExecError(str(exc)) from None
-
-
-def _subquery_map(value: str) -> ClauseMap:
-    try:
-        return sql_to_clause_map(value)
-    except Exception as exc:
-        raise ExecError(f"value is not a well-formed query: {value!r} ({exc})") from None
 
 
 def _fmt(path) -> str:

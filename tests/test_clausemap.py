@@ -1,10 +1,13 @@
 import hashlib
+import json
+import re
 
 import pytest
 
 from paperdata import CASE_CARS, CASE_TWEETS, CASES
 from queryfuzz import QueryFuzzer
 
+from sqlpatch.cli import main
 from sqlpatch.clausemap import (
     ClauseMap, Composite, clause_entries, decompose, entry_from_clause_text, entry_sql,
     sql_to_clause_map, to_sql,
@@ -134,3 +137,64 @@ def test_dangling_placeholder_cannot_be_built():
     with pytest.raises(MapError):
         Composite("where a > (subquery0) and b < (subquery1)",
                   {"subquery0": ClauseMap()})
+
+
+_EMPTY_UNION = "set operation 'union' has no query after it"
+_UNBALANCED = "unbalanced parenthesis in clause text"
+
+# Clause texts, each the value of sql["where"]; what the readers of a
+# clause run (sql_to_clause_map, clause_entries) raise on it, or None when
+# they read it; and what the readers of one clause value raise
+# (entry_from_clause_text, and an edit program's assignment).
+READER_CASES = [
+    ("where t.a = 1 union", _EMPTY_UNION, _EMPTY_UNION),
+    ("where t.a in (select t.a from t union)", _EMPTY_UNION, _EMPTY_UNION),
+    ("where t.a = 1) and t.b = 2", _UNBALANCED, _UNBALANCED),
+    ("where t.a in (select t.a from t", _UNBALANCED, _UNBALANCED),
+    ("where (t.a = 1", _UNBALANCED, _UNBALANCED),
+    ("where t.a = 1 group by t.b", None,
+     "clause text for 'where' holds a second clause, 'groupBy': 'where t.a = 1 group by t.b'"),
+    ("where t.a = 1 )", _UNBALANCED, _UNBALANCED),
+    ("order by t.a", None, "clause text for 'where' must start with 'where': 'order by t.a'"),
+]
+
+
+@pytest.mark.parametrize("text, run_error, value_error", READER_CASES,
+                         ids=[text for text, _, _ in READER_CASES])
+def test_every_reader_of_clause_text_ends_a_clause_alike(
+        text, run_error, value_error, tmp_path, capsys):
+    if run_error is None:
+        assert [key for key, _ in clause_entries(text)] == sql_to_clause_map(text).keys()
+    else:
+        for read in (sql_to_clause_map, clause_entries):
+            with pytest.raises(MapError, match=f"^{re.escape(run_error)}$"):
+                read(text)
+    with pytest.raises(MapError, match=f"^{re.escape(value_error)}$"):
+        entry_from_clause_text("where", text)
+    wrong, program = tmp_path / "wrong.sql", tmp_path / "program.txt"
+    wrong.write_text("select t.a from t group by t.c", encoding="utf-8")
+    program.write_text(f'sql["where"] = {json.dumps(text)}\n', encoding="utf-8")
+    assert main(["exec-program", "--wrong", str(wrong), "--program", str(program)]) == 1
+    assert capsys.readouterr() == ("", f'error: cannot assign sql["where"]: {value_error}\n')
+
+
+def _walk(cm: ClauseMap):
+    """Every (key, entry) of a clause map and of the maps nested in it."""
+    for key, entry in cm.items():
+        yield key, entry
+        nested = entry.subqueries.values() if isinstance(entry, Composite) else \
+            [entry] if isinstance(entry, ClauseMap) else []
+        for sub in nested:
+            yield from _walk(sub)
+
+
+def test_the_reader_reads_back_what_the_maps_write(schemas):
+    fuzzer = QueryFuzzer(schemas, seed=2310)
+    nested = 0
+    for _ in range(400):
+        cm = decompose(fuzzer.query()[1])
+        assert clause_entries(to_sql(cm)) == list(cm.items())
+        for key, entry in _walk(cm):
+            nested += not isinstance(entry, str)
+            assert entry_from_clause_text(key, entry_sql(key, entry)) == entry
+    assert nested > 100

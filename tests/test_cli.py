@@ -174,6 +174,16 @@ def test_exec_program(tmp_path):
     assert proc.stdout.strip() == CASE_HR.gold
 
 
+def test_exec_program_names_an_empty_set_operation(tmp_path):
+    wrong, program = tmp_path / "w.sql", tmp_path / "p.txt"
+    wrong.write_text("select a.b from t")
+    program.write_text('sql["union"] = "select a.b from t union"\n')
+    proc = run_cli(["exec-program", "--wrong", str(wrong), "--program", str(program)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == \
+        "error: cannot assign sql[\"union\"]: set operation 'union' has no query after it\n"
+
+
 def test_eval_command(schema_flag, db_dir):
     lines = [
         json.dumps({"db_id": "hr",
@@ -710,6 +720,31 @@ def test_usage_error_exit_code(args, valid):
     assert proc.returncode == 2 and proc.stdout == ""
     assert (f"sqlpatch {args[0]}: error: argument {args[-2]}: invalid choice: "
             f"{args[-1]!r} (choose from {valid})") in proc.stderr
+
+
+def _nested(levels: int) -> str:
+    sql = "select tweets.id from tweets"
+    for _ in range(levels):
+        sql = f"select tweets.id from tweets where tweets.id in ({sql})"
+    return sql
+
+
+@pytest.mark.parametrize("args", [["normalize", "--db-id", "social"], ["eval"],
+                                  ["eval", "--workers", "2"]])
+def test_input_nested_too_deeply_is_a_domain_error(schema_flag, args):
+    """A query nested past Python's recursion limit ends the command with
+    status 1 and a message, which names the line of a JSONL input."""
+    deep = _nested(400)
+    if args[0] == "normalize":
+        stdin, where = deep, ""
+    else:
+        good = {"db_id": "social", "gold": _nested(2), "pred": _nested(2)}
+        stdin = "".join(json.dumps(line) + "\n"
+                        for line in (good, {**good, "pred": deep}, good))
+        where = "line 2: "
+    proc = run_cli([args[0], *schema_flag, *args[1:]], stdin=stdin)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {where}input nested too deeply\n"
 
 
 def test_domain_error_exit_code(schema_flag):
