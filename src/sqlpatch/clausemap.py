@@ -282,5 +282,12 @@ def _read(tokens: list[str], i: int) -> tuple[list[tuple[str, Entry]], int]:
 
 
 def _entry(tokens: list[str], subs: dict[str, ClauseMap]) -> Entry:
-    """Clause text, or a composite entry when the clause has subqueries."""
+    """Clause text, or a composite entry when the clause has subqueries. A
+    clause is its keyword (``group by`` and ``order by`` with their ``by``)
+    and at least one token after it."""
+    head = 2 if tokens[0] in ("group", "order") else 1
+    if head == 2 and tokens[1:2] != ["by"]:
+        raise MapError(f"{tokens[0]!r} must be followed by 'by': {detokenize(tokens)!r}")
+    if len(tokens) == head:
+        raise MapError(f"clause {detokenize(tokens)!r} has nothing after its keyword")
     return Composite(detokenize(tokens), subs) if subs else detokenize(tokens)

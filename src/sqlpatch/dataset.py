@@ -230,14 +230,12 @@ def split_folds(outputs: list[ParserOutput], k: int) -> list[list[ParserOutput]]
     counts: largest database first into the currently smallest fold."""
     if k < 2:
         raise DatasetError("fold count must be at least 2")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for i, out in enumerate(outputs):
+    counts: dict[str, int] = {}  # first-seen order, which the stable sort keeps on ties
+    for out in outputs:
         counts[out.db_id] = counts.get(out.db_id, 0) + 1
-        first_seen.setdefault(out.db_id, i)
     if len(counts) < k:
         raise DatasetError(f"need at least {k} distinct databases, got {len(counts)}")
-    order = sorted(counts, key=lambda db: (-counts[db], first_seen[db]))
+    order = sorted(counts, key=lambda db: -counts[db])
     fold_of: dict[str, int] = {}
     sizes = [0] * k
     for db in order:
@@ -375,18 +373,15 @@ def build_dev_set(records: list[ExampleRecord], n_dbs: int = 8,
     rng = random.Random(seed)
     dev_dbs = set(rng.sample(db_ids, n_dbs))
     train = [r for r in records if r.db_id not in dev_dbs]
-    best: dict[tuple, ExampleRecord] = {}
-    order: list[tuple] = []
+    best: dict[tuple, ExampleRecord] = {}  # in first-seen order of its keys
     for record in records:
         if record.db_id not in dev_dbs:
             continue
         key = (record.db_id, record.question, record.query_rep, record.edit_rep)
-        if key not in best:
+        if key not in best or ((record.beam_score, -record.beam_rank)
+                               > (best[key].beam_score, -best[key].beam_rank)):
             best[key] = record
-            order.append(key)
-        elif (record.beam_score, -record.beam_rank) > (best[key].beam_score, -best[key].beam_rank):
-            best[key] = record
-    return DatasetSplit(train=train, dev=[best[key] for key in order])
+    return DatasetSplit(train=train, dev=list(best.values()))
 
 
 class DatasetStats(Record, hashable=True):

@@ -5,25 +5,25 @@ Exactly two statement forms exist, with the root variable literally ``sql``:
     sql["key"]...["key"] = "value"
     sql["key"]...["key"].pop("key")
 
-Keys and values are double-quoted with backslash escapes; anything else is
-rejected at parse time.
+Keys and values are JSON strings, as ``json.dumps`` writes them (raw
+control characters accepted); whitespace may stand between the parts of a
+statement. Anything else is rejected at parse time.
 """
 
 from __future__ import annotations
 
 import json
-from functools import partial
+import re
 from typing import Union
 
 from .clausemap import CLAUSE_INDEX, placeholder_index
 from .errors import ProgramError
 from .nodes import Record
-from .pydict import Cursor, lex
 
 
-def _check_key(key: str, line=None):
+def _check_key(key: str):
     if key not in CLAUSE_INDEX and placeholder_index(key) is None:
-        raise ProgramError(f"invalid key {key!r}", line=line)
+        raise ProgramError(f"invalid key {key!r}")
 
 
 class Assign(Record, hashable=True):
@@ -80,43 +80,57 @@ def parse_program(text: str) -> EditProgram:
     # U+0085 and U+2028, which a rendered value holds unescaped
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.strip():
-            stmts.append(_parse_stmt(line, lineno))
+            try:
+                stmts.append(_parse_stmt(line))
+            except ProgramError as exc:
+                exc.line = lineno
+                raise
     return EditProgram(tuple(stmts))
 
 
-def _parse_stmt(line: str, lineno: int) -> EditStmt:
-    error = partial(ProgramError, line=lineno)
-    cur = Cursor(lex(line, error), error)
-    root = cur.next()
-    if root[:2] != ("name", "sql"):
-        raise error(f"root variable must be 'sql', got {root[1]!r}")
+# The fixed parts of a statement, each with the whitespace around it; the
+# keys and the value between them are JSON strings.
+_ROOT, _OPEN, _CLOSE, _POP, _CALL_END, _ASSIGN = (re.compile(rf"\s*{part}\s*") for part in (
+    r"sql\b", r"\[", r"\]", r"\.\s*pop\s*\(", r"\)", "="))
+_JSON = json.JSONDecoder(strict=False)
+
+
+def _parse_stmt(line: str) -> EditStmt:
+    root = _ROOT.match(line)
+    if root is None:
+        raise ProgramError(f"root variable must be 'sql': {line.strip()!r}")
     path: list[str] = []
-    while cur.accept("["):
-        key = _take_string(cur, "key")
-        cur.expect("]")
-        _check_key(key, lineno)
+    i = root.end()
+    while match := _OPEN.match(line, i):
+        key, i = _string(line, match.end(), "key")
+        i = _fixed(_CLOSE, line, i, "]")
         path.append(key)
-    if cur.accept("."):
-        name = cur.next()
-        if name[:2] != ("name", "pop"):
-            raise error(f"only .pop(...) calls are allowed, got .{name[1]}")
-        cur.expect("(")
-        key = _take_string(cur, "key")
-        cur.expect(")")
-        cur.expect_end()
-        _check_key(key, lineno)
-        return Pop(tuple(path), key)
-    if cur.accept("="):
-        if not path:
-            raise error("whole-map assignment is not in the edit language")
-        value = _take_string(cur, "value")
-        cur.expect_end()
-        return Assign(tuple(path), value)
-    raise error(f"expected '[', '.pop' or '=' after path: {line.strip()!r}")
+    if match := _POP.match(line, i):
+        key, i = _string(line, match.end(), "key")
+        stmt = Pop(tuple(path), key)
+        i = _fixed(_CALL_END, line, i, ")")
+    elif match := _ASSIGN.match(line, i):
+        value, i = _string(line, match.end(), "value")
+        stmt = Assign(tuple(path), value)
+    else:
+        raise ProgramError(f"expected '[', '.pop(' or '=' at offset {i}: {line.strip()!r}")
+    if line[i:].strip():
+        raise ProgramError(f"unexpected trailing content at offset {i}")
+    return stmt
 
 
-def _take_string(cur: Cursor, what: str) -> str:
-    tok = cur.next()
-    if tok[0] != "str":
-        raise cur.error(f"{what} must be double-quoted, got {tok[1]!r}")
-    return tok[1]
+def _string(line: str, i: int, what: str) -> tuple[str, int]:
+    """The JSON string at line[i] and the index after it."""
+    if not line.startswith('"', i):
+        raise ProgramError(f"{what} must be double-quoted, at offset {i}")
+    try:
+        return _JSON.raw_decode(line, i)
+    except json.JSONDecodeError as exc:
+        raise ProgramError(f"{exc.msg} at offset {exc.pos}") from None
+
+
+def _fixed(pattern: re.Pattern, line: str, i: int, what: str) -> int:
+    match = pattern.match(line, i)
+    if match is None:
+        raise ProgramError(f"expected {what!r} at offset {i}")
+    return match.end()

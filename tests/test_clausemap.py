@@ -12,9 +12,11 @@ from sqlpatch.clausemap import (
     ClauseMap, Composite, clause_entries, decompose, entry_from_clause_text, entry_sql,
     sql_to_clause_map, to_sql,
 )
-from sqlpatch.errors import MapError
+from sqlpatch.editscript import EditAction, EditScript
+from sqlpatch.errors import ApplyError, MapError
 from sqlpatch.parse import parse_sql
 from sqlpatch.pydict import parse_pydict, render_pydict
+from sqlpatch.vm import apply_clause_edits
 
 
 def test_decompose_simple(schemas):
@@ -141,6 +143,8 @@ def test_dangling_placeholder_cannot_be_built():
 
 _EMPTY_UNION = "set operation 'union' has no query after it"
 _UNBALANCED = "unbalanced parenthesis in clause text"
+_NO_BODY = "clause '{}' has nothing after its keyword"
+_NO_BY = "'group' must be followed by 'by': 'group t.b'"
 
 # Clause texts, each the value of sql["where"]; what the readers of a
 # clause run (sql_to_clause_map, clause_entries) raise on it, or None when
@@ -156,6 +160,10 @@ READER_CASES = [
      "clause text for 'where' holds a second clause, 'groupBy': 'where t.a = 1 group by t.b'"),
     ("where t.a = 1 )", _UNBALANCED, _UNBALANCED),
     ("order by t.a", None, "clause text for 'where' must start with 'where': 'order by t.a'"),
+    ("where", _NO_BODY.format("where"), _NO_BODY.format("where")),
+    ("where t.a = 1 group t.b", _NO_BY, _NO_BY),
+    ("where t.a = 1 order by", _NO_BODY.format("order by"), _NO_BODY.format("order by")),
+    ("where t.a in (select from t)", _NO_BODY.format("select"), _NO_BODY.format("select")),
 ]
 
 
@@ -176,6 +184,22 @@ def test_every_reader_of_clause_text_ends_a_clause_alike(
     program.write_text(f'sql["where"] = {json.dumps(text)}\n', encoding="utf-8")
     assert main(["exec-program", "--wrong", str(wrong), "--program", str(program)]) == 1
     assert capsys.readouterr() == ("", f'error: cannot assign sql["where"]: {value_error}\n')
+
+
+@pytest.mark.parametrize("key, value", [("groupBy", "group t.b"), ("where", "where")])
+def test_a_keyword_alone_is_not_a_clause(key, value, tmp_path, capsys):
+    """Each reader of clause text refuses it, on select t.a from t."""
+    wrong, program = tmp_path / "wrong.sql", tmp_path / "program.txt"
+    wrong.write_text("select t.a from t", encoding="utf-8")
+    program.write_text(f"sql[{json.dumps(key)}] = {json.dumps(value)}\n", encoding="utf-8")
+    assert main(["exec-program", "--wrong", str(wrong), "--program", str(program)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot assign sql[{json.dumps(key)}]: ")
+    script = EditScript("clause-sql", (EditAction("insert", new=value),))
+    with pytest.raises(ApplyError, match="^malformed action content: "):
+        apply_clause_edits(sql_to_clause_map("select t.a from t"), script)
+    for sql in (f"select t.a from t {value}", "select from t"):
+        with pytest.raises(MapError):
+            sql_to_clause_map(sql)
 
 
 def _walk(cm: ClauseMap):
