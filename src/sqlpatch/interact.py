@@ -101,8 +101,12 @@ def simulate(record: ExampleRecord, gold, generator: GeneratorAdapter,
 
 def execute_selected(record: ExampleRecord, selected: Sequence[str]) -> str:
     """Apply the selected actions to the initial wrong query with the edit
-    interpreter; selections may arrive out of canonical order and are
-    re-sorted by their target."""
+    interpreter. Selections may arrive out of canonical order: program
+    statements are re-sorted by the path they target, clause actions only
+    by the top-level key their content names first. So a subquery's select
+    replace picked before the outer select's fails to anchor (ApplyError),
+    the defect bench/test_bench.py pins in
+    test_defect_execute_selected_aborts_on_subquery_select_first."""
     rep = representation(record.query_rep, record.edit_rep)
     items = [item for text in selected for item in rep.parse_edits(text)]
     return rep.apply(record.wrong_sql, sorted(items, key=rep.order))

@@ -19,39 +19,27 @@ from __future__ import annotations
 import json
 import re
 
-from .clausemap import CLAUSE_INDEX, ClauseMap, Composite, Entry
-from .errors import MapError, PyDictError
+from .clausemap import CLAUSE_INDEX, ClauseMap, Composite, Entry, entry_from_clause_text
+from .errors import MapError, PyDictError, TokenizeError
 
 
 def render_pydict(cm: ClauseMap, pretty: bool = False) -> str:
-    return "sql = " + _render_container(cm, pretty, 0)
+    return "sql = " + json.dumps(_plain(cm), ensure_ascii=False, indent=2 if pretty else None)
 
 
 def render_entry_fragment(key: str, entry: Entry) -> str:
     """One ``"key": value`` pair in compact form (edit-action payloads)."""
-    return f"{json.dumps(key)}: {_render_value(entry, False, 0)}"
+    return json.dumps({key: _plain(entry)}, ensure_ascii=False)[1:-1]
 
 
-def _render_container(container, pretty: bool, indent: int) -> str:
-    if isinstance(container, Composite):
-        pairs = [("clause", container.clause)] + list(container.subqueries.items())
-    else:
-        pairs = list(container.items())
-    if not pairs:
-        return "{}"
-    if not pretty:
-        inner = ", ".join(f"{json.dumps(k)}: {_render_value(v, False, 0)}" for k, v in pairs)
-        return "{" + inner + "}"
-    pad = "  " * (indent + 1)
-    inner = ",\n".join(
-        f"{pad}{json.dumps(k)}: {_render_value(v, True, indent + 1)}" for k, v in pairs)
-    return "{\n" + inner + "\n" + "  " * indent + "}"
-
-
-def _render_value(value, pretty: bool, indent: int) -> str:
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    return _render_container(value, pretty, indent)
+def _plain(entry: Entry):
+    """An entry as the nested dicts and strings its text is the JSON of."""
+    if isinstance(entry, str):
+        return entry
+    if isinstance(entry, Composite):
+        subqueries = {sid: _plain(sub) for sid, sub in entry.subqueries.items()}
+        return {"clause": entry.clause, **subqueries}
+    return {key: _plain(value) for key, value in entry.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +57,7 @@ def parse_pydict(text: str) -> ClauseMap:
     prefix = _PREFIX.match(text)
     if prefix is None:
         raise PyDictError("clause-dictionary text must start with 'sql ='")
-    value = _entry(_decode(text[prefix.end():], prefix.end()))
+    value = _entry(None, _decode(text[prefix.end():], prefix.end()))
     if not isinstance(value, ClauseMap):
         raise PyDictError("top-level value must be a clause map")
     return value
@@ -77,12 +65,13 @@ def parse_pydict(text: str) -> ClauseMap:
 
 def parse_entry_fragments(text: str) -> list[tuple[str, Entry]]:
     """Parse ``"key": value, "key": value`` pairs (edit-action payloads)."""
-    entries = _entries(_decode("{" + text + "}", -1))
+    entries = _entries(_decode("{" + text + "}", -1), None)
     if not entries:
         raise PyDictError("no clause in clause-dictionary fragment")
-    for key in entries:
-        if key not in CLAUSE_INDEX:
-            raise PyDictError(f"unknown clause key {key!r}")
+    try:
+        ClauseMap(entries)  # known keys, each with a value of its kind
+    except MapError as exc:
+        raise PyDictError(str(exc)) from None
     return list(entries.items())
 
 
@@ -101,34 +90,42 @@ _JSON_TYPES = {bool: "boolean", int: "number", float: "number", list: "array",
                type(None): "null"}
 
 
-def _entries(pairs) -> dict[str, Entry]:
-    """A decoded object's pairs as entries, in text order; a key appears once."""
+def _entries(pairs, owner) -> dict[str, Entry]:
+    """A decoded object's pairs as entries, in text order; a key appears
+    once. ``owner`` is the key that holds the object: a ``clause`` value is
+    the text of a clause of that key."""
     entries: dict[str, Entry] = {}
     for key, value in pairs:
         if key in entries:
             raise PyDictError(f"duplicate key {key!r}")
-        entries[key] = _entry(value)
+        entries[key] = _entry(owner if key == "clause" else key, value)
     return entries
 
 
-def _entry(value) -> Entry:
+def _entry(key, value) -> Entry:
     """Clause text, a composite entry (an object with a ``clause`` key) or a
-    clause map, from a decoded JSON value."""
+    clause map, from the JSON value decoded under ``key``. Text under a
+    clause key must be one clause of that key; it is kept as written."""
     if isinstance(value, str):
+        if key in CLAUSE_INDEX:
+            try:
+                entry_from_clause_text(key, value)
+            except (MapError, TokenizeError) as exc:
+                raise PyDictError(str(exc)) from None
         return value
     if not isinstance(value, tuple):
         raise PyDictError(f"expected a string or nested mapping, got a JSON "
                           f"{_JSON_TYPES[type(value)]}")
-    entries = _entries(value)
+    entries = _entries(value, key)
     try:
         if "clause" not in entries:
             return ClauseMap(entries)
         clause = entries.pop("clause")
         if not isinstance(clause, str):
             raise PyDictError("'clause' value must be a string")
-        for key, sub in entries.items():
+        for sid, sub in entries.items():
             if not isinstance(sub, ClauseMap):
-                raise PyDictError(f"subquery value for {key!r} must be a nested clause map")
+                raise PyDictError(f"subquery value for {sid!r} must be a nested clause map")
         return Composite(clause, entries)
     except MapError as exc:
         raise PyDictError(str(exc)) from None

@@ -1,11 +1,11 @@
 """Execution of edit programs and application of edit scripts.
 
 Programs address entries by explicit path, so execution is unambiguous.
-Clause scripts are anchored by clause key plus old content, consumed in
-canonical walk order; an insert lands in the map of the most recently
-anchored action when the key is free there, otherwise in the first map
-along the walk with the key free. Token scripts are applied best-effort at
-the leftmost match and report ambiguity instead of failing.
+A clause script is first located, without changing the map, as the clause
+diff's own items with their paths (:func:`locate_clause_edits`), and then
+written at those paths as program statements are. Token scripts are
+applied best-effort at the leftmost match and report ambiguity instead of
+failing.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from __future__ import annotations
 from collections import deque
 
 from .clausemap import (
-    CLAUSE_INDEX, SET_OP_KEYS, ClauseMap, Composite, Entry, clause_entries,
-    entry_from_clause_text, sql_to_clause_map,
+    CLAUSE_INDEX, SET_OP_KEYS, ClauseMap, Composite, clause_entries, entry_from_clause_text,
+    sql_to_clause_map,
 )
+from .diffs import DiffItem
 from .editscript import EditScript
 from .errors import ApplyError, ExecError, MapError, PyDictError, SqlPatchError, TokenizeError
 from .nodes import Record
-from .program import Assign, EditProgram, Pop
+from .program import Assign, EditProgram
 from .pydict import parse_entry_fragments
 from .tokens import detokenize, tokenize
 
@@ -41,7 +42,7 @@ def exec_program(cm: ClauseMap, program: EditProgram) -> ClauseMap:
         if isinstance(stmt, Assign):
             _exec_assign(out, stmt)
         else:
-            _exec_pop(out, stmt)
+            _pop(out, stmt.path, stmt.key)
     return out
 
 
@@ -60,15 +61,15 @@ def _exec_assign(root: ClauseMap, stmt: Assign) -> None:
         raise ExecError(f"cannot assign {_fmt(stmt.path)}: {exc}") from None
 
 
-def _exec_pop(root: ClauseMap, stmt: Pop) -> None:
-    container = _descend(root, stmt.path)
+def _pop(root: ClauseMap, path, key: str) -> None:
+    container = _descend(root, path)
     if isinstance(container, Composite):
         raise ExecError(
-            f"cannot pop {stmt.key!r} from {_fmt(stmt.path)}: the clause text "
+            f"cannot pop {key!r} from {_fmt(path)}: the clause text "
             f"still references its placeholders")
-    if stmt.key not in container:
-        raise ExecError(f"pop of absent key {stmt.key!r} at {_fmt(stmt.path)}")
-    container.pop(stmt.key)
+    if key not in container:
+        raise ExecError(f"pop of absent key {key!r} at {_fmt(path)}")
+    container.pop(key)
 
 
 def _descend(root: ClauseMap, path):
@@ -99,101 +100,95 @@ def _fmt(path) -> str:
 # Clause-level script application
 
 
-class _Op(Record):
-    __slots__ = ("kind", "key", "old", "pairs")
-
-    def __init__(self, kind: str, key: str = "", old: Entry = None, pairs: tuple = ()):
-        self.kind = kind    # replace | delete | insert
-        self.key = key      # anchor key for replace/delete
-        self.old = old
-        self.pairs = pairs  # (key, entry) pairs to insert / the replacement
-
-
 def apply_clause_edits(cm: ClauseMap, script: EditScript) -> ClauseMap:
-    if script.granularity not in ("clause-sql", "clause-pydict"):
-        raise ApplyError(f"not a clause-level script: {script.granularity!r}")
-    ops = deque(_parse_op(a, script.granularity) for a in script.actions)
+    """Locate the script's actions in ``cm``, then write each at its path."""
     out = cm.copy()
-    state = _WalkState(out)
-    _walk_apply(out, ops, state)
-    if ops:
-        op = ops[0]
-        if op.kind == "insert":
-            present = [k for k, _ in op.pairs if k in out]
-            if present:
-                raise ApplyError(f"insert of already-present key {present[0]!r}")
-            raise ApplyError(f"could not place insert of {[k for k, _ in op.pairs]}")
-        raise ApplyError(f"anchor clause not found for {op.kind} of {op.key!r}")
+    for item in locate_clause_edits(cm, script):
+        if item.kind == "delete":
+            (key, _), = item.old
+            _pop(out, item.path, key)
+            continue
+        container = _descend(out, item.path)
+        for key, entry in item.pairs:
+            container.set(key, entry)
     return out
 
 
-class _WalkState:
-    def __init__(self, root: ClauseMap):
-        self.root = root
-        self.last_map = None  # map that anchored the most recent consumed action
+def locate_clause_edits(cm: ClauseMap, script: EditScript) -> list[DiffItem]:
+    """The script's actions as diff items at the paths of the maps they
+    edit, found without changing ``cm``. Actions are taken in order along
+    the canonical walk of ``cm``: a replace or delete anchors where its key
+    holds its old content; an insert goes into the map of the most recently
+    located item when its keys are free there, else into the first map
+    along the walk whose keys are free and some of which that map holds."""
+    if script.granularity not in ("clause-sql", "clause-pydict"):
+        raise ApplyError(f"not a clause-level script: {script.granularity!r}")
+    todo = deque(_read_action(a, script.granularity) for a in script.actions)
+    located: list[DiffItem] = []
+    held: dict[tuple, set] = {}
+    _locate(cm, (), todo, held, located)
+    if todo:
+        item = todo[0]
+        if item.kind != "insert":
+            raise ApplyError(f"anchor clause not found for {item.kind} of {item.old[0][0]!r}")
+        keys = [key for key, _ in item.pairs]
+        present = [key for key in keys if key in held[()]]
+        if present:
+            raise ApplyError(f"insert of already-present key {present[0]!r}")
+        raise ApplyError(f"could not place insert of {keys}")
+    return located
 
-    def insert_target_ok(self, current: ClauseMap, op: _Op) -> bool:
-        if any(key in current for key, _ in op.pairs):
-            return False
-        primary = self.last_map if self.last_map is not None else self.root
-        if current is primary:
-            return True
-        return any(key in primary for key, _ in op.pairs)
 
-
-def _walk_apply(current: ClauseMap, ops: deque, state: _WalkState) -> None:
-    for key in list(current.keys()):
-        _consume_inserts(current, ops, state, CLAUSE_INDEX[key])
-        if key not in current:
-            continue
-        entry = current.get(key)
-        op = ops[0] if ops else None
-        if op is not None and op.kind in ("replace", "delete") and op.key == key \
-                and entry == op.old:
-            if op.kind == "delete":
-                current.pop(key)
-            else:
-                (_, new_entry), = op.pairs
-                current.set(key, new_entry)
-            ops.popleft()
-            state.last_map = current
-            continue
-        if isinstance(entry, Composite):
-            for sub in entry.subqueries.values():
-                _walk_apply(sub, ops, state)
+def _locate(current: ClauseMap, path: tuple, todo: deque, held: dict, located: list) -> None:
+    """Walk ``current`` in canonical order, moving each action at the head
+    of ``todo`` that anchors or lands in it to ``located``. ``held`` maps
+    the path of each map walked to the keys it holds once ``located`` is
+    written."""
+    keys = held[path] = set(current.keys())
+    for key, entry in current.items():
+        _place_inserts(path, CLAUSE_INDEX[key], todo, held, located)
+        if todo and todo[0].old == ((key, entry),):  # an insert has no old side
+            item = todo.popleft()
+            if item.kind == "delete":
+                keys.remove(key)
+            located.append(DiffItem(item.kind, path, item.pairs, item.old))
+        elif isinstance(entry, Composite):
+            for sid, sub in entry.subqueries.items():
+                _locate(sub, path + (key, sid), todo, held, located)
         elif isinstance(entry, ClauseMap):
-            _walk_apply(entry, ops, state)
-    _consume_inserts(current, ops, state, len(CLAUSE_INDEX))
+            _locate(entry, path + (key,), todo, held, located)
+    _place_inserts(path, len(CLAUSE_INDEX), todo, held, located)
 
 
-def _consume_inserts(current: ClauseMap, ops: deque, state: _WalkState, bound: int) -> None:
-    while ops and ops[0].kind == "insert":
-        op = ops[0]
-        first = CLAUSE_INDEX[op.pairs[0][0]]
-        if first >= bound or not state.insert_target_ok(current, op):
+def _place_inserts(path: tuple, bound: int, todo: deque, held: dict, located: list) -> None:
+    """Locate the inserts at the head of ``todo`` that land in the map at
+    ``path`` ahead of its key with index ``bound``."""
+    last = located[-1].path if located else ()
+    while todo and todo[0].kind == "insert":
+        keys = [key for key, _ in todo[0].pairs]
+        if (CLAUSE_INDEX[keys[0]] >= bound or any(key in held[path] for key in keys)
+                or path != last and not any(key in held[last] for key in keys)):
             return
-        for key, entry in op.pairs:
-            current.set(key, entry)
-        ops.popleft()
-        state.last_map = current
+        held[path].update(keys)
+        located.append(DiffItem("insert", path, todo.popleft().pairs))
+        last = path
 
 
-def _parse_op(action, granularity: str) -> _Op:
-    old_pairs = clause_content_pairs(action.old, granularity) if action.old else []
-    new_pairs = clause_content_pairs(action.new, granularity) if action.new else []
+def _read_action(action, granularity: str) -> DiffItem:
+    """One action's content as a diff item whose path is yet to be found."""
+    old = tuple(clause_content_pairs(action.old, granularity)) if action.old else ()
+    new = tuple(clause_content_pairs(action.new, granularity)) if action.new else ()
     if action.kind == "insert":
-        return _Op("insert", pairs=tuple(new_pairs))
+        return DiffItem("insert", (), new)
     if action.kind == "delete":
-        if len(old_pairs) != 1:
+        if len(old) != 1:
             raise ApplyError(f"delete content must name exactly one clause: {action.old!r}")
-        key, entry = old_pairs[0]
-        return _Op("delete", key=key, old=entry)
-    if len(old_pairs) != 1 or len(new_pairs) != 1:
+        return DiffItem("delete", (), (), old)
+    if len(old) != 1 or len(new) != 1:
         raise ApplyError("replace content must name exactly one clause on each side")
-    (okey, oentry), (nkey, nentry) = old_pairs[0], new_pairs[0]
-    if okey != nkey:
-        raise ApplyError(f"replace changes clause key {okey!r} -> {nkey!r}")
-    return _Op("replace", key=okey, old=oentry, pairs=((nkey, nentry),))
+    if old[0][0] != new[0][0]:
+        raise ApplyError(f"replace changes clause key {old[0][0]!r} -> {new[0][0]!r}")
+    return DiffItem("replace", (), new, old)
 
 
 def clause_content_pairs(text: str, granularity: str) -> list:

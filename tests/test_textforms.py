@@ -67,6 +67,20 @@ MALFORMED = [
     (parse_entry_fragments, '"clause": "where a.b = 1"'),
     (parse_program, 'sql["orderby"] = "order by a.b"'),
     (parse_program, 'sql.pop("subquery")'),
+    # values that are not clause text of their key, at any depth, or not of
+    # their key's kind
+    *[(read, text) for value in (
+        '"order by t.b"', '"where t.a = 2 )"', '"t.a = 2"', '"where"',
+        '{"clause": "order by t.a in (subquery0)", '
+        '"subquery0": {"select": "select t.a", "from": "from t"}}',
+        '{"clause": "where t.a in (subquery0)", '
+        '"subquery0": {"select": "from t", "from": "from t"}}',
+        '{"select": "select t.a", "from": "from t"}')
+      for read, text in ((parse_pydict, f'{MAP_HEAD}, "where": {value}}}'),
+                         (parse_entry_fragments, f'"where": {value}'))],
+    (parse_pydict, f'{MAP_HEAD}, "union": "union select a.b from a"}}'),
+    (parse_entry_fragments, '"union": "union select a.b from a"'),
+    (parse_entry_fragments, '"union": "select a.b from a"'),
 ]
 
 
@@ -123,6 +137,23 @@ def test_rendered_forms_read_back():
         assert parse_entry_fragments(joined) == pairs
         program = diff_program(cm, other)
         assert parse_program(render_program(program)) == program
+
+
+def test_clause_pydict_text_under_another_key_is_refused(tmp_path, capsys):
+    """An entry's text must be a clause of its own key: `apply` and `to-sql`
+    both exit 1 on a where entry that holds an order by clause."""
+    wrong, edits, pydict = tmp_path / "wrong.sql", tmp_path / "edits.txt", tmp_path / "q.pydict"
+    wrong.write_text("select t.a from t group by t.a", encoding="utf-8")
+    edits.write_text('<Insert> "where": "order by t.b" <InsertEnd>', encoding="utf-8")
+    pydict.write_text(f'{MAP_HEAD}, "where": "order by t.b"}}', encoding="utf-8")
+    assert main(["apply", "--granularity", "clause-pydict", "--wrong", str(wrong),
+                 "--edits", str(edits)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: malformed action content: clause text for 'where' must start with "
+            "'where': 'order by t.b'\n")
+    assert main(["to-sql", str(pydict)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: clause text for 'where' must start with 'where': 'order by t.b'\n")
 
 
 def test_to_sql_on_an_overlong_number_is_a_domain_error(tmp_path, capsys):

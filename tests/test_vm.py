@@ -1,14 +1,23 @@
+import json
+import random
+
 import pytest
 
 from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS, CASES
+from queryfuzz import QueryFuzzer
 
-from sqlpatch.clausemap import decompose, to_sql
-from sqlpatch.diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
-from sqlpatch.editscript import EditAction, EditScript
-from sqlpatch.errors import ApplyError, ExecError
+from sqlpatch.clausemap import (
+    SET_OP_KEYS, Composite, decompose, entry_sql, entry_value_sql, sql_to_clause_map, to_sql,
+)
+from sqlpatch.diffs import (
+    clause_diff_items, diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens,
+)
+from sqlpatch.editscript import EditAction, EditScript, parse_edits, render_edits
+from sqlpatch.errors import ApplyError, ExecError, ProgramError
 from sqlpatch.parse import parse_sql
-from sqlpatch.program import EditProgram, parse_program
-from sqlpatch.vm import apply_clause_edits, apply_token_edits, exec_program
+from sqlpatch.program import EditProgram, Pop, parse_program, render_program
+from sqlpatch.pydict import render_entry_fragment
+from sqlpatch.vm import apply_clause_edits, apply_token_edits, exec_program, locate_clause_edits
 
 
 def maps(case, schemas):
@@ -109,13 +118,31 @@ def test_apply_fixture_clause_scripts(schemas):
                                   diff_clauses_pydict(wrong_map, gold_map)) == gold_map
 
 
-def test_apply_agrees_with_exec(schemas):
-    for case in CASES:
-        wrong_map, gold_map = maps(case, schemas)
+@pytest.fixture(scope="module")
+def fuzzed_maps(schemas):
+    """The wrong and gold maps of 1,500 seeded fuzzer pairs."""
+    fuzzer = QueryFuzzer(schemas, seed=99)
+    return [(decompose(wrong), decompose(gold))
+            for _, wrong, gold in (fuzzer.pair() for _ in range(1500))]
+
+
+def test_apply_agrees_with_exec(schemas, fuzzed_maps):
+    for wrong_map, gold_map in [maps(case, schemas) for case in CASES] + fuzzed_maps:
         via_script = apply_clause_edits(wrong_map,
                                         diff_clauses_pydict(wrong_map, gold_map))
         via_program = exec_program(wrong_map, diff_program(wrong_map, gold_map))
         assert to_sql(via_script) == to_sql(via_program)
+
+
+def test_the_locator_recovers_the_diffs_own_items(fuzzed_maps):
+    """Locating a diff's clause script gives back the diff's items, paths
+    included, and leaves the map as it was."""
+    for wrong_map, gold_map in fuzzed_maps:
+        before = wrong_map.copy()
+        items = clause_diff_items(wrong_map, gold_map)
+        for diff in (diff_clauses_sql, diff_clauses_pydict):
+            assert locate_clause_edits(wrong_map, diff(wrong_map, gold_map)) == items
+        assert wrong_map == before
 
 
 def test_apply_delete_absent_anchor(schemas):
@@ -154,6 +181,24 @@ def test_apply_merged_insert_lands_in_subquery(schemas):
     result = apply_clause_edits(wrong_map, script)
     assert result == gold_map
     assert "limit" not in result  # the limit belongs to the subquery
+
+
+def test_an_insert_waits_for_the_most_recently_anchored_map():
+    """After the outer select is replaced, a limit insert passes over the
+    FROM subquery, whose limit is free too, and lands in the outer query."""
+    wrong = sql_to_clause_map("select t.a from (select t.b from t) where t.c = 1")
+    script = EditScript("clause-sql", (EditAction("replace", "select t.a", "select t.b"),
+                                       EditAction("insert", new="limit 1")))
+    assert [item.path for item in locate_clause_edits(wrong, script)] == [(), ()]
+    assert to_sql(apply_clause_edits(wrong, script)) == (
+        "select t.b from (select t.b from t) where t.c = 1 limit 1")
+
+
+def test_an_insert_may_take_the_key_a_delete_freed():
+    wrong = sql_to_clause_map("select t.a from t where t.c = 1")
+    script = EditScript("clause-sql", (EditAction("delete", old="where t.c = 1"),
+                                       EditAction("insert", new="where t.c = 2")))
+    assert to_sql(apply_clause_edits(wrong, script)) == "select t.a from t where t.c = 2"
 
 
 def test_apply_inside_set_op_right_query(schemas):
@@ -199,6 +244,85 @@ def test_exec_replace_whole_subquery(schemas):
     sub = result.get("where").subqueries["subquery0"]
     assert sub.get("select") == "select cars_data.id"
     assert sub.get("limit") == "limit 3"
+
+
+# ---------------------------------------------------------------------------
+# Mutated content: one entry of a diff's edits is broken in one way, and the
+# edits must then fail with their applier's error, never yield SQL.
+
+LEADS = {"select": "select", "from": "from", "where": "where", "groupBy": "group by",
+         "having": "having", "orderBy": "order by", "limit": "limit"}
+
+
+def _mutated(granularity, mutation, rng, key, entry):
+    """(key, entry) with its key misspelled (in clause-sql, the keyword that
+    names the clause), another clause's keyword at the head of its clause
+    text, or a stray ")" after that text."""
+    if mutation == "misspelled key" and granularity != "clause-sql":
+        return key[:-1], entry
+    text = entry.clause if isinstance(entry, Composite) else entry
+    if mutation == "misspelled key":
+        text = LEADS[key][:-1] + text[len(LEADS[key]):]
+    elif mutation == "keyword":
+        text = rng.choice([lead for k, lead in LEADS.items() if k != key]) + text[len(LEADS[key]):]
+    else:
+        text += " )"
+    return key, (Composite(text, entry.subqueries) if isinstance(entry, Composite) else text)
+
+
+def _edit_text(granularity, items, target=None, mutant=None):
+    """The diff items as the row's edit text, the first new entry of
+    ``target`` replaced by ``mutant``."""
+    lines, actions = [], []
+    for item in items:
+        pairs = list(item.pairs)
+        if item is target:
+            pairs[0] = mutant
+        if granularity == "program":
+            if item.kind == "delete":
+                lines.append(render_program(EditProgram((Pop(item.path, item.old[0][0]),))))
+            lines += ["sql" + "".join(f"[{json.dumps(part)}]" for part in item.path + (key,))
+                      + f" = {json.dumps(entry_value_sql(entry))}" for key, entry in pairs]
+            continue
+        render, sep = ((render_entry_fragment, ", ") if granularity == "clause-pydict"
+                       else (entry_sql, " "))
+        actions.append(EditAction(item.kind, sep.join(render(k, e) for k, e in item.old),
+                                  sep.join(render(k, e) for k, e in pairs)))
+    if granularity == "program":
+        return "\n".join(lines)
+    return render_edits(EditScript(granularity, tuple(actions)))
+
+
+def _run(granularity, wrong_map, text):
+    if granularity == "program":
+        return exec_program(wrong_map, parse_program(text))
+    return apply_clause_edits(wrong_map, parse_edits(text, granularity))
+
+
+@pytest.mark.parametrize("mutation", ["keyword", "misspelled key", "stray paren"])
+@pytest.mark.parametrize("granularity", ["clause-sql", "clause-pydict", "program"])
+def test_mutated_content_is_refused(fuzzed_maps, granularity, mutation):
+    rng = random.Random(f"{granularity} {mutation}")
+    error = (ProgramError if granularity == "program" and mutation == "misspelled key"
+             else ExecError if granularity == "program" else ApplyError)
+    # in clause-sql another clause's keyword is another key, so an insert of
+    # it is a valid edit; a replace may not change its key
+    kinds = ("replace",) if (granularity, mutation) == ("clause-sql", "keyword") \
+        else ("replace", "insert")
+    mutated = 0
+    for wrong_map, gold_map in fuzzed_maps[:300]:
+        items = clause_diff_items(wrong_map, gold_map)
+        assert _run(granularity, wrong_map, _edit_text(granularity, items)) == gold_map
+        targets = [item for item in items
+                   if item.kind in kinds and item.pairs[0][0] not in SET_OP_KEYS]
+        if not targets:
+            continue
+        target = rng.choice(targets)
+        mutant = _mutated(granularity, mutation, rng, *target.pairs[0])
+        with pytest.raises(error):
+            _run(granularity, wrong_map, _edit_text(granularity, items, target, mutant))
+        mutated += 1
+    assert mutated > 150
 
 
 # ---------------------------------------------------------------------------
