@@ -3,8 +3,15 @@
 Actions serialize as
 ``<ReplaceOld> old <ReplaceNew> new <ReplaceEnd>``,
 ``<Insert> content <InsertEnd>`` and ``<Delete> content <DeleteEnd>``,
-concatenated with single spaces. The seven markers are the only special
-tokens; parsing rejects unknown, nested, or unbalanced markers.
+concatenated with single spaces. ``_FORMS`` is the one definition of these
+forms: per action kind, its opening marker, then for each span the
+``EditAction`` field it fills and the marker that ends it. ``render_edits``
+writes from it, and ``parse_edits`` reads by it: one split at every
+``<word>`` gives alternating spans and markers, the first marker outside
+the table is reported, and the rest is walked row by row, so nested,
+unbalanced or misplaced markers, empty spans and text between actions are
+rejected. The split does not skip quoted literals, so a literal that holds
+``<word>`` text cannot be carried.
 """
 
 from __future__ import annotations
@@ -16,18 +23,17 @@ from .nodes import Record
 
 GRANULARITIES = ("token", "clause-sql", "clause-pydict")
 
-REPLACE_OLD = "<ReplaceOld>"
-REPLACE_NEW = "<ReplaceNew>"
-REPLACE_END = "<ReplaceEnd>"
-INSERT = "<Insert>"
-INSERT_END = "<InsertEnd>"
-DELETE = "<Delete>"
-DELETE_END = "<DeleteEnd>"
-
-MARKERS = (REPLACE_OLD, REPLACE_NEW, REPLACE_END, INSERT, INSERT_END, DELETE, DELETE_END)
-
-_MARKER_RE = re.compile("|".join(re.escape(m) for m in MARKERS))
-_UNKNOWN_RE = re.compile(r"<\w+>")
+_FORMS = {  # kind: (opening marker, (field, marker that ends its span), ...)
+    "replace": ("<ReplaceOld>", ("old", "<ReplaceNew>"), ("new", "<ReplaceEnd>")),
+    "insert": ("<Insert>", ("new", "<InsertEnd>")),
+    "delete": ("<Delete>", ("old", "<DeleteEnd>")),
+}
+_OPENED = {opener: (kind, spans) for kind, (opener, *spans) in _FORMS.items()}
+MARKERS = tuple(marker for opener, *spans in _FORMS.values()
+                for marker in (opener, *(end for _, end in spans)))
+# per kind, a str.format template of one action: "<Insert> {0.new} <InsertEnd>"
+_TEMPLATES = {kind: " ".join([opener, *(f"{{0.{field}}} {end}" for field, end in spans)])
+              for kind, (opener, *spans) in _FORMS.items()}
 
 
 class EditAction(Record, hashable=True):
@@ -65,70 +71,33 @@ class EditScript(Record, hashable=True):
 
 
 def render_edits(script: EditScript) -> str:
-    parts = []
-    for action in script.actions:
-        if action.kind == "replace":
-            parts.append(f"{REPLACE_OLD} {action.old} {REPLACE_NEW} {action.new} {REPLACE_END}")
-        elif action.kind == "insert":
-            parts.append(f"{INSERT} {action.new} {INSERT_END}")
-        else:
-            parts.append(f"{DELETE} {action.old} {DELETE_END}")
-    return " ".join(parts)
+    return " ".join([_TEMPLATES[action.kind].format(action) for action in script.actions])
 
 
 def parse_edits(text: str, granularity: str) -> EditScript:
-    if text.strip() == "":
-        return EditScript(granularity, ())
-    pieces = _split_markers(text)
+    parts = re.split(r"(<\w+>)", text)
+    markers, spans = parts[1::2], [part.strip() for part in parts[::2]]
+    for marker in markers:
+        if marker not in MARKERS:
+            raise EditParseError(f"unknown marker {marker!r}")
     actions: list[EditAction] = []
-    i = 0
-    while i < len(pieces):
-        kind, value = pieces[i]
-        if kind != "marker":
-            raise EditParseError(f"unexpected text outside markers: {value!r}")
-        if value == REPLACE_OLD:
-            old = _expect_span(pieces, i + 1, REPLACE_NEW)
-            new = _expect_span(pieces, i + 3, REPLACE_END)
-            actions.append(EditAction("replace", old=old, new=new))
-            i += 5
-        elif value == INSERT:
-            content = _expect_span(pieces, i + 1, INSERT_END)
-            actions.append(EditAction("insert", new=content))
-            i += 3
-        elif value == DELETE:
-            content = _expect_span(pieces, i + 1, DELETE_END)
-            actions.append(EditAction("delete", old=content))
-            i += 3
-        else:
-            raise EditParseError(f"unbalanced marker {value!r}")
-    return EditScript(granularity, tuple(actions))
-
-
-def _split_markers(text: str):
-    unknown = [m.group(0) for m in _UNKNOWN_RE.finditer(text)
-               if m.group(0) not in MARKERS]
-    if unknown:
-        raise EditParseError(f"unknown marker {unknown[0]!r}")
-    pieces = []
-    pos = 0
-    for match in _MARKER_RE.finditer(text):
-        before = text[pos:match.start()].strip()
-        if before:
-            pieces.append(("span", before))
-        pieces.append(("marker", match.group(0)))
-        pos = match.end()
-    tail = text[pos:].strip()
-    if tail:
-        pieces.append(("span", tail))
-    return pieces
-
-
-def _expect_span(pieces, index: int, end_marker: str) -> str:
-    if index >= len(pieces) or pieces[index][0] != "span":
-        at = pieces[index][1] if index < len(pieces) else "end of text"
-        raise EditParseError(f"empty span before {at!r}")
-    span = pieces[index][1]
-    if index + 1 >= len(pieces) or pieces[index + 1] != ("marker", end_marker):
-        got = pieces[index + 1][1] if index + 1 < len(pieces) else "end of text"
-        raise EditParseError(f"expected {end_marker!r}, got {got!r}")
-    return span
+    i = 0  # spans[i] is the text before markers[i]
+    while True:
+        if spans[i]:
+            raise EditParseError(f"unexpected text outside markers: {spans[i]!r}")
+        if i == len(markers):
+            return EditScript(granularity, tuple(actions))
+        if markers[i] not in _OPENED:
+            raise EditParseError(f"unbalanced marker {markers[i]!r}")
+        kind, form = _OPENED[markers[i]]
+        fields = {}
+        for field, end in form:
+            i += 1
+            at = markers[i] if i < len(markers) else "end of text"
+            if not spans[i]:
+                raise EditParseError(f"empty span before {at!r}")
+            if at != end:
+                raise EditParseError(f"expected {end!r}, got {at!r}")
+            fields[field] = spans[i]
+        actions.append(EditAction(kind, **fields))
+        i += 1

@@ -18,10 +18,10 @@ import time
 from typing import Optional, Protocol, Sequence
 
 from .dataset import ExampleRecord, representation
-from .editscript import EditScript, render_edits
+from .editscript import EditAction, EditScript, render_edits
 from .errors import DatasetError, SqlPatchError
 from .nodes import Record
-from .program import EditProgram, render_program
+from .program import Assign, EditProgram, render_program
 from .schema import json_fields
 
 EXIT_WAIT_S = 10  # how long close() waits for an external generator to exit
@@ -156,10 +156,11 @@ class OracleGenerator:
 
     def _distractor(self, rng: random.Random) -> str:
         while True:
-            n = rng.randrange(10_000)
-            action = f'sql["limit"] = "limit 9{n:04d}"'
+            limit = f"limit 9{rng.randrange(10_000):04d}"
             if self.gold and not self.gold[0].startswith("sql"):
-                action = f"<Insert> limit 9{n:04d} <InsertEnd>"
+                action = render_edits(EditScript("token", (EditAction("insert", new=limit),)))
+            else:
+                action = render_program(EditProgram((Assign(("limit",), limit),)))
             if action not in self._gold_set:
                 return action
 

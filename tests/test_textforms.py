@@ -1,5 +1,6 @@
 """Boundaries of the two JSON-based text forms: clause-dictionary text (maps
-and entry fragments) and edit programs."""
+and entry fragments) and edit programs; and every rendered text form,
+marker text included, reads back."""
 
 import re
 
@@ -10,7 +11,8 @@ from queryfuzz import QueryFuzzer
 
 from sqlpatch.cli import main
 from sqlpatch.clausemap import ClauseMap, decompose
-from sqlpatch.diffs import diff_program
+from sqlpatch.diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
+from sqlpatch.editscript import parse_edits, render_edits
 from sqlpatch.errors import ProgramError, PyDictError
 from sqlpatch.program import Assign, EditProgram, parse_program, render_program
 from sqlpatch.pydict import (
@@ -126,8 +128,12 @@ def test_error_offset_points_into_the_readers_own_text(read, text, offset):
 def test_rendered_forms_read_back():
     schemas = {entry["db_id"]: schema_from_entry(entry) for entry in TABLES_JSON}
     fuzzer = QueryFuzzer(schemas, seed=2411)
-    maps = [decompose(fuzzer.query()[1]) for _ in range(300)]
-    for cm, other in zip(maps, maps[1:] + maps[:1]):
+    queries = [fuzzer.query()[1] for _ in range(300)]
+    for query, other_query in zip(queries, queries[1:] + queries[:1]):
+        cm, other = decompose(query), decompose(other_query)
+        for script in (diff_tokens(query, other_query), diff_clauses_sql(cm, other),
+                       diff_clauses_pydict(cm, other)):
+            assert parse_edits(render_edits(script), script.granularity) == script
         for pretty in (False, True):
             assert parse_pydict(render_pydict(cm, pretty)) == cm
         pairs = list(cm.items())
