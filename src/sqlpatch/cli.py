@@ -13,8 +13,10 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, nullcontext
+from collections import deque
+from contextlib import nullcontext
 from functools import partial
+from itertools import chain, islice
 
 # What every command runs; each command imports the rest it runs at its start.
 from .errors import DatasetError, SchemaError, SqlPatchError
@@ -170,11 +172,37 @@ def _build_parser() -> argparse.ArgumentParser:
 # Helpers
 
 
+def _input(path):
+    """Each line of path, or of stdin without one, with its line feed. Stdout
+    is flushed before each further read of stdin, so that a reader sees what
+    the lines before gave while the command waits for more. A file that
+    cannot be opened or decoded is a domain error that names it."""
+    try:
+        source = open(path, encoding="utf-8") if path else nullcontext(sys.stdin)
+    except OSError as exc:
+        raise SqlPatchError(f"cannot read {path}: {exc.strerror}") from None
+    with source as fh:
+        try:
+            for line in fh:
+                yield line
+                if not path:
+                    sys.stdout.flush()
+        except UnicodeDecodeError as exc:
+            raise SqlPatchError(f"cannot read {path or 'stdin'}: "
+                                f"not UTF-8 ({exc.reason})") from None
+
+
 def _read(path) -> str:
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    return sys.stdin.read()
+    return "".join(_input(path))
+
+
+def _write_lines(path, records) -> None:
+    """Each record's JSON text as one line of path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(r.to_json() + "\n" for r in records)
+    except OSError as exc:
+        raise SqlPatchError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_schema(args, parser) -> dict:
@@ -208,37 +236,64 @@ def _reason(exc) -> str:
     return "input nested too deeply" if isinstance(exc, RecursionError) else str(exc)
 
 
+_CHUNK = 32   # lines per pool task; larger ones hold more of the input at once
+_WINDOW = 2   # pool tasks outstanding per worker
+
+
 def _map_lines(fn, path, workers: int = 1):
-    """Yield fn(line) for every non-blank JSONL input line, in input order.
-    With workers > 1 and at least two lines, on a process pool (imported
-    only then) whose initializer hands fn, with the schemas bound in it, to
-    each worker once, and which takes the lines in about four chunks per
-    worker; fewer lines run in this process, as with one worker. Lines
-    split at line feeds only: JSON text may hold U+2028 and the other
-    breaks str.splitlines splits at. A domain error ends the run and names
-    its 1-based line."""
-    numbered = [(n, line) for n, line in enumerate(_read(path).split("\n"), 1)
-                if line.strip()]
-    lines = [line for _, line in numbered]
-    with ExitStack() as stack:
-        if workers > 1 and len(lines) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(fn,)))
-            stack.callback(pool.shutdown, cancel_futures=True)  # early end: drop unstarted chunks
-            mapped = pool.map(_worker_call, lines,
-                              chunksize=max(1, len(lines) // (workers * 4)))
-        else:
-            mapped = map(fn, lines)
-        done = 0
-        try:
-            for result in mapped:
-                if isinstance(result, Exception):
-                    raise result
-                yield result
-                done += 1
-        except (SqlPatchError, RecursionError) as exc:
-            raise SqlPatchError(f"line {numbered[done][0]}: {_reason(exc)}") from None
+    """Yield fn(line) for every non-blank JSONL input line, in input order,
+    reading the input as a stream. Lines split at line feeds only: JSON text
+    may hold U+2028 and the other breaks str.splitlines splits at. With one
+    worker, or fewer than two lines, each line runs in this process as it is
+    read. Otherwise a process pool (imported only then), whose initializer
+    hands fn, with the schemas bound in it, to each worker once, takes the
+    lines in chunks of _CHUNK, at most _WINDOW per worker outstanding; the
+    next chunk goes out only once the oldest one's results are yielded. A
+    domain error ends the run and names its 1-based line, and no chunk
+    after the window it fell in runs."""
+    lines = ((n, line.removesuffix("\n"))
+             for n, line in enumerate(_input(path), 1) if line.strip())
+    head = list(islice(lines, 2)) if workers > 1 else []
+    lines = chain(head, lines)
+    if len(head) < 2:
+        for n, line in lines:
+            yield _checked(n, _call(fn, line))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    chunks = iter(lambda: list(islice(lines, _CHUNK)), [])
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(fn,)) as pool:
+        window = deque()
+        for chunk in chunks:
+            window.append((chunk, pool.submit(_worker_call, [line for _, line in chunk])))
+            if len(window) == _WINDOW * workers:
+                yield from _chunk_results(*window.popleft())
+        while window:
+            yield from _chunk_results(*window.popleft())
+
+
+def _call(fn, line):
+    """fn(line), or the error it raised."""
+    try:
+        return fn(line)
+    except Exception as exc:
+        return exc
+
+
+def _checked(n, result):
+    """The result of line n, unless it is an error: a domain error is raised
+    naming the line, any other as it was."""
+    if isinstance(result, (SqlPatchError, RecursionError)):
+        raise SqlPatchError(f"line {n}: {_reason(result)}") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _chunk_results(chunk, future):
+    """The checked results of a pool chunk of (n, line) pairs, in line order."""
+    for (n, _), result in zip(chunk, future.result()):
+        yield _checked(n, result)
 
 
 _worker_fn = None  # a pool worker's per-line function, set by _init_worker
@@ -249,14 +304,16 @@ def _init_worker(fn) -> None:
     _worker_fn = fn
 
 
-def _worker_call(line):
-    """fn(line) in a pool worker; an error comes back as the result, for
-    _map_lines to raise in line order, since raising it here would drop the
-    earlier results of its chunk."""
-    try:
-        return _worker_fn(line)
-    except Exception as exc:
-        return exc
+def _worker_call(lines):
+    """_call of fn on each line of a chunk in a pool worker, up to the first
+    error: it comes back as that line's result, for _map_lines to raise in
+    line order, since raising it here would drop the results before it."""
+    results = []
+    for line in lines:
+        results.append(_call(_worker_fn, line))
+        if isinstance(results[-1], Exception):
+            break
+    return results
 
 
 def _canonical(text: str, args, parser) -> str:
@@ -370,17 +427,16 @@ def _eval_line(line, schemas, backend):
 
 def _cmd_eval(args, parser) -> int:
     schemas = _load_schema(args, parser)
-    outcomes = []
+    n = em = ex = 0
     with _open_backend(args) as backend:
         for outcome in _map_lines(partial(_eval_line, schemas=schemas, backend=backend),
                                   args.input, args.workers):
             print(outcome.to_json())
-            outcomes.append(outcome)
-    n = len(outcomes)
+            n, em, ex = n + 1, em + outcome.em, ex + bool(outcome.ex)
     if n:
-        summary = {"count": n, "em_acc": sum(o.em for o in outcomes) / n}
+        summary = {"count": n, "em_acc": em / n}
         if backend is not None:
-            summary["ex_acc"] = sum(bool(o.ex) for o in outcomes) / n
+            summary["ex_acc"] = ex / n
         print(json.dumps(summary), file=sys.stderr)
     return 0
 
@@ -443,17 +499,15 @@ def _cmd_build_dev(args, parser) -> int:
     from .dataset import ExampleRecord, build_dev_set
     records = list(_map_lines(ExampleRecord.from_json, args.input))
     split = build_dev_set(records, n_dbs=args.n_dbs, seed=args.seed)
-    with open(args.train_out, "w", encoding="utf-8") as fh:
-        fh.writelines(r.to_json() + "\n" for r in split.train)
-    with open(args.dev_out, "w", encoding="utf-8") as fh:
-        fh.writelines(r.to_json() + "\n" for r in split.dev)
+    _write_lines(args.train_out, split.train)
+    _write_lines(args.dev_out, split.dev)
     print(json.dumps({"train": len(split.train), "dev": len(split.dev)}))
     return 0
 
 
 def _cmd_stats(args, parser) -> int:
     from .dataset import ExampleRecord, dataset_stats
-    print(dataset_stats(list(_map_lines(ExampleRecord.from_json, args.input))).to_json())
+    print(dataset_stats(_map_lines(ExampleRecord.from_json, args.input)).to_json())
     return 0
 
 

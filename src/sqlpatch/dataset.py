@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 from functools import cached_property, partial
-from typing import Optional
+from typing import Iterable, Optional
 
 from .clausemap import CLAUSE_INDEX, decompose, placeholder_index, sql_to_clause_map, to_sql
 from .diffs import diff_clauses_pydict, diff_clauses_sql, diff_program, diff_tokens
@@ -392,7 +392,9 @@ class DatasetStats(Record, hashable=True):
         self.avg_edits = avg_edits  # None when there are no records
 
 
-def dataset_stats(records: list[ExampleRecord]) -> DatasetStats:
-    if not records:
-        return DatasetStats(0, None)
-    return DatasetStats(len(records), sum(r.n_edits for r in records) / len(records))
+def dataset_stats(records: Iterable[ExampleRecord]) -> DatasetStats:
+    """The count and mean edit count of records, read in one pass."""
+    count = edits = 0
+    for record in records:
+        count, edits = count + 1, edits + record.n_edits
+    return DatasetStats(count, edits / count if count else None)

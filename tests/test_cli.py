@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import queue
 import subprocess
 import sys
+import threading
 import time
 from functools import partial
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from mockbeams import build_mock_beams
 from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS, TABLES_JSON
 
-from sqlpatch.cli import _map_lines
+from sqlpatch.cli import _CHUNK, _WINDOW, _map_lines
 from sqlpatch.dataset import synthesize_train
 from sqlpatch.errors import SqlPatchError
 
@@ -335,8 +337,8 @@ def test_stats_rejects_an_edit_count_no_float_holds(schemas):
 @pytest.mark.parametrize("bad_line", [37, 60])
 @pytest.mark.parametrize("command", ["synth", "eval"])
 def test_workers_stop_at_a_malformed_line_in_a_chunk(schema_flag, command, bad_line):
-    # With two workers, 60 lines go out in chunks of 7: line 37 is the
-    # second of its chunk, line 60 the last of the last one.
+    # With two workers, 60 lines go out in two chunks, of 32 and 28 lines:
+    # line 37 is the fifth of the second chunk, line 60 its last.
     if command == "synth":
         inputs = [o.to_json() for o in build_mock_beams()]
         args = ["synth", *schema_flag, "--query-rep", "sql", "--edit-rep", "token"]
@@ -357,8 +359,9 @@ def test_workers_stop_at_a_malformed_line_in_a_chunk(schema_flag, command, bad_l
 
 
 def test_workers_print_the_serial_output_before_any_failing_line(schema_flag):
-    # Line 14, second of its chunk of 2, holds a non-string prediction;
-    # whatever it raises, the 13 lines before it come out as in a serial run.
+    # Line 14, in the one chunk that holds all 20 lines, has a non-string
+    # prediction; whatever it raises, the 13 lines before it come out as in a
+    # serial run.
     line = {"db_id": "social", "pred": "select tweets.id from tweets",
             "gold": "select tweets.id from tweets"}
     lines = [json.dumps(line)] * 20
@@ -795,6 +798,7 @@ def test_commands_start_without_the_pool_subprocess_or_openssl(
             (["synth", *schema_flag, *db], beams),
             (["synth", *schema_flag], beams),
             (["synth", *schema_flag, "--workers", "2"], ""),
+            (["synth", *schema_flag, "--workers", "2"], beams.splitlines()[0]),
             (["normalize", *schema_flag, "--db-id", "social"],
              "SELECT T1.text FROM tweets AS T1")]
     for args, stdin in runs:
@@ -894,9 +898,11 @@ def _mark_line(directory, line):
 
 
 def test_a_failing_line_stops_the_pool(tmp_path):
-    """When a line fails, the chunks that no worker has taken never run. The
-    pool takes 8 chunks of 40 lines here, and the first, which holds the
-    failing line, ends long before the workers could reach the last."""
+    """When a line fails, no chunk after its window runs. The pool takes
+    chunks of _CHUNK lines, at most _WINDOW per worker at a time, and the
+    next goes out only once the oldest one's results are checked; the first
+    chunk here holds the failing line, so only the first 2 * _WINDOW chunks
+    run."""
     lines = ["0", "bad", *map(str, range(2, 320))]
     source = tmp_path / "lines.txt"
     source.write_text("\n".join(lines), encoding="utf-8")
@@ -906,6 +912,99 @@ def test_a_failing_line_stops_the_pool(tmp_path):
         list(_map_lines(partial(_mark_line, ran), str(source), workers=2))
     assert (ran / "0").exists()
     assert not any((ran / str(n)).exists() for n in range(280, 320))
+    assert not any((ran / str(n)).exists() for n in range(2 * _WINDOW * _CHUNK, 320))
+
+
+def _first_line_while_input_open(args, stdin):
+    """The first stdout line of the CLI given stdin on a pipe that it is
+    left to wait on, or None if none comes within a minute, and whether the
+    command was still running then. Stdout is left buffered, as it is by
+    default, so only the command's own flushes make output appear."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(CLI + args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    lines = queue.Queue()
+
+    def read():
+        lines.put(proc.stdout.readline())
+        proc.stdout.read()  # drained, so the command never waits to write
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        proc.stdin.write(stdin)
+        proc.stdin.flush()
+        try:
+            first = lines.get(timeout=60)
+        except queue.Empty:
+            first = None
+        return first, proc.poll() is None
+    finally:
+        proc.stdin.close()
+        reader.join(timeout=60)
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_eval_prints_each_outcome_before_reading_the_next_line(schema_flag):
+    line = json.dumps(_GOOD_LINES["eval"]) + "\n"
+    first, running = _first_line_while_input_open(["eval", *schema_flag], line * 2)
+    assert (first, running) == ('{"em": true, "ex": null}\n', True)
+
+
+def test_workers_print_a_chunk_while_the_input_is_still_open(schema_flag):
+    """With two workers, the first chunk's records come out once the window
+    of chunks is out, while the command waits for the rest of its input."""
+    beams = [o.to_json() + "\n" for o in build_mock_beams()]
+    stdin = "".join(beams[i % len(beams)] for i in range(2 * _WINDOW * _CHUNK + 1))
+    serial = run_cli(["synth", *schema_flag], stdin=beams[0])
+    assert serial.returncode == 0 and serial.stdout
+    first, running = _first_line_while_input_open(["synth", *schema_flag, "--workers", "2"],
+                                                  stdin)
+    assert (first, running) == (serial.stdout.splitlines(keepends=True)[0], True)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8", "output-dir-missing"])
+def test_a_file_that_cannot_be_opened_or_decoded_is_a_domain_error(
+        schema_flag, schemas, tmp_path, case):
+    if case == "missing":
+        path = tmp_path / "missing.sql"
+        args, reason = ["normalize", *schema_flag, "--db-id", "social", str(path)], \
+            "cannot read {}: No such file or directory"
+    elif case == "directory":
+        path = tmp_path
+        args, reason = ["synth", *schema_flag, str(path)], "cannot read {}: Is a directory"
+    elif case == "not-utf-8":
+        path = tmp_path / "beams.jsonl"
+        path.write_bytes(b"\xff\xfe" + build_mock_beams()[0].to_json().encode() + b"\n")
+        args, reason = ["synth", *schema_flag, str(path)], \
+            "cannot read {}: not UTF-8 (invalid start byte)"
+    else:
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(r.to_json() + "\n"
+                                   for r in synthesize_train(build_mock_beams(), schemas)),
+                           encoding="utf-8")
+        path = tmp_path / "no-such-dir" / "train.jsonl"
+        args = ["build-dev", "--n-dbs", "1", "--seed", "1", "--train-out", str(path),
+                "--dev-out", str(tmp_path / "dev.jsonl"), str(records)]
+        reason = "cannot write {}: No such file or directory"
+    proc = run_cli(args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {reason.format(path)}\n"
+
+
+def test_a_decode_error_after_printed_lines_keeps_them(schema_flag, tmp_path):
+    """Lines decoded before the bad bytes have run and printed, as the lines
+    before a failing line have."""
+    line = json.dumps(_GOOD_LINES["eval"]) + "\n"
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes((line * 500).encode() + b"\xc3(\n" + line.encode())
+    proc = run_cli(["eval", *schema_flag, str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot read {path}: not UTF-8 (invalid continuation byte)\n"
+    printed = proc.stdout.splitlines()
+    assert 0 < len(printed) <= 500 and set(printed) == {'{"em": true, "ex": null}'}
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])

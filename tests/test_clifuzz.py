@@ -5,7 +5,9 @@ single-character substitutions, number forms that the tokenizer rejects in
 place of a SQL number, and every field, nested ones included, replaced by a
 value of each JSON kind. Every run must exit 0 or 1 with no
 exception escaping ``main``, and each stdout line of the commands that
-print JSON must parse as strict JSON (no ``NaN`` or ``Infinity``)."""
+print JSON must parse as strict JSON (no ``NaN`` or ``Infinity``). The same
+lines, read from a file with bytes that are not UTF-8 put into the second,
+must end with status 1 and an error that names the file."""
 
 import contextlib
 import io
@@ -131,3 +133,44 @@ def test_mutated_lines_exit_cleanly(command, schemas, tables_json_path, tmp_path
             except ValueError as exc:
                 failures.append((mutated, f"stdout is not strict JSON: {exc}"))
     assert not failures, f"{len(failures)} failing lines, first: {failures[:3]}"
+
+
+# byte runs that are not UTF-8: a stray continuation byte, bytes that never
+# start a character, a truncated two- and three-byte sequence, an encoded
+# surrogate and an overlong form
+INVALID_UTF8 = [b"\x80", b"\xff", b"\xfe", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@pytest.mark.parametrize("command", ["eval", "synth", "mcnemar", "render-edits",
+                                     "split-folds", "build-dev", "stats", "simulate"])
+def test_input_files_that_are_not_utf8_exit_cleanly(command, schemas, tables_json_path,
+                                                    tmp_path):
+    """The seed lines as a file, with invalid UTF-8 put at the start, the
+    middle or the end of the second line: every run ends with status 1 and
+    one error line that names the file."""
+    schema = ["--schema", str(tables_json_path)]
+    args = {
+        "eval": ["eval", *schema], "synth": ["synth", *schema], "mcnemar": ["mcnemar"],
+        "render-edits": ["render-edits", "--granularity", "clause-sql"],
+        "split-folds": ["split-folds", "--folds", "2"],
+        "build-dev": ["build-dev", "--n-dbs", "1", "--seed", "0",
+                      "--train-out", str(tmp_path / "train"),
+                      "--dev-out", str(tmp_path / "dev")],
+        "stats": ["stats"], "simulate": ["simulate", *schema],
+    }[command]
+    context, line = (text.encode() for text in _seed_lines(schemas)[command])
+    path = tmp_path / "input.jsonl"
+    failures = []
+    for bad in INVALID_UTF8:
+        for at in (0, len(line) // 2, len(line)):
+            path.write_bytes(context + b"\n" + line[:at] + bad + line[at:] + b"\n")
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(args + [str(path)])
+            except (Exception, SystemExit) as exc:
+                code = exc
+            if code != 1 or not err.getvalue().startswith(f"error: cannot read {path}: ") \
+                    or err.getvalue().count("\n") != 1:
+                failures.append((bad, at, repr(code), err.getvalue()))
+    assert not failures, f"{len(failures)} failing files, first: {failures[:3]}"
