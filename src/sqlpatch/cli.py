@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from collections import deque
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from functools import partial
 from itertools import chain, islice
 
@@ -196,13 +196,38 @@ def _read(path) -> str:
     return "".join(_input(path))
 
 
-def _write_lines(path, records) -> None:
-    """Each record's JSON text as one line of path."""
+def _write_files(outputs) -> None:
+    """Each (path, records) pair's records as JSON lines at path, all or
+    none: each file is written beside the file its path names (through a
+    symlink), keeping that file's mode, and replaces it only once every
+    output is written. A device or pipe, such as /dev/null, is written to
+    directly."""
+    temps = []  # (temporary file, file, path), written and not yet moved
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(r.to_json() + "\n" for r in records)
+        for path, records in outputs:
+            lines = (r.to_json() + "\n" for r in records)
+            target = os.path.realpath(path)
+            if os.path.exists(target) and not os.path.isfile(target):
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.writelines(lines)
+                continue
+            head, name = os.path.split(target)
+            temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8") as fh:
+                temps.append((temp, target, path))
+                fh.writelines(lines)
+            if os.path.exists(target):
+                os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        while temps:
+            temp, target, path = temps[0]
+            os.replace(temp, target)
+            del temps[0]
     except OSError as exc:
         raise SqlPatchError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for temp, _, _ in temps:
+            with suppress(OSError):
+                os.remove(temp)
 
 
 def _load_schema(args, parser) -> dict:
@@ -499,8 +524,7 @@ def _cmd_build_dev(args, parser) -> int:
     from .dataset import ExampleRecord, build_dev_set
     records = list(_map_lines(ExampleRecord.from_json, args.input))
     split = build_dev_set(records, n_dbs=args.n_dbs, seed=args.seed)
-    _write_lines(args.train_out, split.train)
-    _write_lines(args.dev_out, split.dev)
+    _write_files([(args.train_out, split.train), (args.dev_out, split.dev)])
     print(json.dumps({"train": len(split.train), "dev": len(split.dev)}))
     return 0
 

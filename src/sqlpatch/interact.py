@@ -135,7 +135,7 @@ class OracleGenerator:
         for chosen in prefix:
             if chosen in remaining:
                 remaining.remove(chosen)
-        rng = random.Random(_stable_seed(self.seed, prefix))
+        rng = random.Random(_stable_seed(self.seed, prefix)) if self.rate else None
         candidates = []
         for i in range(beam_size):
             if self.rate >= 1.0:

@@ -4,12 +4,12 @@ Exact set match compares the components of two normalized queries under
 set semantics (select items, FROM tables plus join conditions, top-level
 AND conjuncts, group-by columns) while keeping ORDER BY an ordered list
 and literal values exact. It is a per-query boolean, not a partial score.
+Only SqliteBackend runs SQLite, so scoring without one never loads it.
 """
 
 from __future__ import annotations
 
 import math
-import sqlite3
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -124,9 +124,13 @@ class ExecBackend(Protocol):
         ...
 
 
+sqlite3 = _REFUSED = None  # the module and what _read_only denies: set by the first backend
+
+
 class SqliteBackend:
     """Reads databases laid out as ``<db_dir>/<db_id>/<db_id>.sqlite`` (or
-    ``.db``, ``.sqlite3``); no other file is opened.
+    ``.db``, ``.sqlite3``); no other file is opened. The first one built
+    imports ``sqlite3``.
 
     Holds one read-only connection per database, opened on first use, until
     close() or until the backend is collected. Statements that would change
@@ -136,9 +140,23 @@ class SqliteBackend:
     """
 
     def __init__(self, db_dir):
+        global sqlite3, _REFUSED
+        if sqlite3 is None:
+            import sqlite3
+            _REFUSED = frozenset({
+                sqlite3.SQLITE_ATTACH, sqlite3.SQLITE_DETACH, sqlite3.SQLITE_TRANSACTION,
+                sqlite3.SQLITE_SAVEPOINT, sqlite3.SQLITE_CREATE_TEMP_INDEX,
+                sqlite3.SQLITE_CREATE_TEMP_TABLE, sqlite3.SQLITE_CREATE_TEMP_TRIGGER,
+                sqlite3.SQLITE_CREATE_TEMP_VIEW, sqlite3.SQLITE_CREATE_VTABLE,
+            })
         self.db_dir = Path(db_dir)
         self._conns: dict[str, sqlite3.Connection] = {}
         weakref.finalize(self, _close_all, self._conns)
+
+    def __reduce__(self):
+        """Pickled as its directory: a process that unpickles it (a pool
+        worker under spawn or forkserver) builds it anew, loading SQLite."""
+        return type(self), (self.db_dir,)
 
     def __enter__(self) -> "SqliteBackend":
         return self
@@ -181,14 +199,6 @@ class SqliteBackend:
 def _close_all(conns: dict[str, sqlite3.Connection]) -> None:
     while conns:
         conns.popitem()[1].close()
-
-
-_REFUSED = frozenset({
-    sqlite3.SQLITE_ATTACH, sqlite3.SQLITE_DETACH, sqlite3.SQLITE_TRANSACTION,
-    sqlite3.SQLITE_SAVEPOINT, sqlite3.SQLITE_CREATE_TEMP_INDEX,
-    sqlite3.SQLITE_CREATE_TEMP_TABLE, sqlite3.SQLITE_CREATE_TEMP_TRIGGER,
-    sqlite3.SQLITE_CREATE_TEMP_VIEW, sqlite3.SQLITE_CREATE_VTABLE,
-})
 
 
 def _read_only(action, arg1, arg2, db_name, trigger) -> int:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import queue
+import stat
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ from mockbeams import build_mock_beams
 from paperdata import CASE_CARS, CASE_HR, CASE_TWEETS, TABLES_JSON
 
 from sqlpatch.cli import _CHUNK, _WINDOW, _map_lines
-from sqlpatch.dataset import synthesize_train
+from sqlpatch.dataset import build_dev_set, synthesize_train
 from sqlpatch.errors import SqlPatchError
 
 CLI = [sys.executable, "-m", "sqlpatch.cli"]
@@ -246,6 +247,23 @@ def test_workers_with_db_dir_print_the_serial_output(schema_flag, db_dir, comman
             {'{"em": true, "ex": true}', '{"em": false, "ex": true}',
              '{"em": false, "ex": false}'}
 
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_with_db_dir_start_without_the_parent_memory(schema_flag, db_dir, method):
+    """Under spawn and forkserver the workers unpickle the backend in an
+    interpreter that has not loaded SQLite."""
+    under = ("import multiprocessing, sys\n"
+             "from sqlpatch.cli import main\n"
+             "multiprocessing.set_start_method(sys.argv[1])\n"
+             "sys.exit(main(sys.argv[2:]))\n")
+    lines = "\n".join(o.to_json() for o in build_mock_beams())
+    args = ["synth", *schema_flag, "--db-dir", str(db_dir), "--policy", "both"]
+    seq = run_cli(args, stdin=lines)
+    par = subprocess.run([sys.executable, "-c", under, method, *args, "--workers", "2"],
+                         input=lines, capture_output=True, text=True)
+    assert (par.returncode, par.stderr) == (0, "")
+    assert seq.stdout and par.stdout == seq.stdout
 
 _WRONG_TYPES = {"wrong-type-list": ["a"], "wrong-type-number": 5, "wrong-type-null": None}
 _SQL = "select tweets.id from tweets"
@@ -763,8 +781,9 @@ def test_missing_subcommand_exits_2():
 
 
 # Modules that only the process pool (workers > 1 on two or more lines),
-# the oracle generator's seed (hashlib, which loads OpenSSL) and an external
-# generator (subprocess) need; every other command starts without them.
+# the seed of an oracle generator that draws distractors (hashlib, which
+# loads OpenSSL; the pure oracle draws none) and an external generator
+# (subprocess) need; every other command starts without them.
 _ON_DEMAND = {"concurrent.futures.process", "multiprocessing", "subprocess", "hashlib",
               "_hashlib"}
 # Modules that no command loads: the nodes and records are plain classes, so
@@ -800,22 +819,21 @@ def test_commands_start_without_the_pool_subprocess_or_openssl(
             (["synth", *schema_flag, "--workers", "2"], ""),
             (["synth", *schema_flag, "--workers", "2"], beams.splitlines()[0]),
             (["normalize", *schema_flag, "--db-id", "social"],
-             "SELECT T1.text FROM tweets AS T1")]
+             "SELECT T1.text FROM tweets AS T1"),
+            (["simulate", *schema_flag, "--generator", "oracle"],
+             json.dumps(_a_record(schemas)) + "\n")]
     for args, stdin in runs:
         assert loaded_modules(args, stdin, tmp_path) & (_ON_DEMAND | _NEVER) == set(), args
-    record = json.dumps(_a_record(schemas)) + "\n"
-    simulate = loaded_modules(["simulate", *schema_flag, "--generator", "oracle"], record,
-                              tmp_path)
-    assert simulate & _NEVER == set()
 
 
 def test_the_pool_and_generators_load_what_they_use(schema_flag, schemas, tmp_path):
     beams = "\n".join(o.to_json() for o in build_mock_beams()[:2])
-    assert "concurrent.futures.process" in loaded_modules(
-        ["synth", *schema_flag, "--workers", "2"], beams, tmp_path)
+    pool = loaded_modules(["synth", *schema_flag, "--workers", "2"], beams, tmp_path)
+    assert "concurrent.futures.process" in pool and pool & _SQLITE == set()
     record = json.dumps(_a_record(schemas)) + "\n"
-    assert "hashlib" in loaded_modules(
-        ["simulate", *schema_flag, "--generator", "oracle"], record, tmp_path)
+    noisy = loaded_modules(["simulate", *schema_flag, "--generator", "noisy", "--seed", "1"],
+                           record, tmp_path)
+    assert "hashlib" in noisy and noisy & _SQLITE == set()
     gen = tmp_path / "gen.py"
     gen.write_text("for request in open(0):\n"
                    "    print('{\"candidates\": []}', flush=True)\n", encoding="utf-8")
@@ -830,30 +848,45 @@ _SYNTHESIS = {f"sqlpatch.{name}" for name in (
     "dataset", "clausemap", "diffs", "editscript", "program", "pydict", "vm", "interact")}
 # The modules that scoring and the McNemar test run, and that the commands
 # over single queries and edit texts do not.
-_SCORING = {"sqlpatch.metrics", "sqlite3"}
+_SCORING = {"sqlpatch.metrics"}
+# SQLite, which the first metrics.SqliteBackend loads: only a command given
+# --db-dir runs it.
+_SQLITE = {"sqlite3", "_sqlite3"}
 
 
-def test_commands_load_only_the_modules_they_run(schema_flag, db_dir, tmp_path):
+def test_commands_load_only_the_modules_they_run(schema_flag, schemas, db_dir, tmp_path):
     beams = build_mock_beams()[:2]
+    beam_lines = "\n".join(o.to_json() for o in beams)
     eval_lines = "\n".join(json.dumps({"db_id": o.db_id, "gold": o.gold_sql, "pred": sql})
                            for o in beams for sql, _ in o.beam[:2])
-    runs = [(["eval", *schema_flag, "--db-dir", str(db_dir)], eval_lines),
+    db = ["--db-dir", str(db_dir)]
+    runs = [(["eval", *schema_flag, *db], eval_lines),
             (["normalize", *schema_flag, "--db-id", "social"],
              "SELECT T1.text FROM tweets AS T1"),
             (["mcnemar"], json.dumps({"a": True, "b": False}))]
     for args, stdin in runs:
         assert loaded_modules(args, stdin, tmp_path) & _SYNTHESIS == set(), args
-    synth = loaded_modules(["synth", *schema_flag], "\n".join(o.to_json() for o in beams),
-                           tmp_path)
+    synth = loaded_modules(["synth", *schema_flag], beam_lines, tmp_path)
     assert synth & _SYNTHESIS == _SYNTHESIS - {"sqlpatch.interact"}
-    assert loaded_modules(*runs[0], tmp_path) >= _SCORING
+    assert synth & _SQLITE == set()
+    for args, stdin in [runs[0], (["synth", *schema_flag, *db], beam_lines)]:
+        assert loaded_modules(args, stdin, tmp_path) >= _SCORING | _SQLITE, args
+    assert loaded_modules(["eval", *schema_flag], eval_lines, tmp_path) & (
+        _SCORING | _SQLITE) == _SCORING
+    every_beam = "\n".join(o.to_json() for o in build_mock_beams())
+    records = "".join(r.to_json() + "\n" for r in synthesize_train(build_mock_beams(), schemas))
+    outs = ["--train-out", str(tmp_path / "train.jsonl"), "--dev-out", str(tmp_path / "dev.jsonl")]
+    for args, stdin in [(["simulate", *schema_flag, "--generator", "oracle"], records),
+                        (["stats"], records), (["split-folds", "--folds", "2"], every_beam),
+                        (["build-dev", "--n-dbs", "1", "--seed", "1", *outs], records)]:
+        assert loaded_modules(args, stdin, tmp_path) & _SQLITE == set(), args
     action = json.dumps({"kind": "replace", "old": "order by tweets.text",
                          "new": "order by tweets.createdate"})
     pydict = 'sql = {"select": "select tweets.text", "from": "from tweets"}'
     for args, stdin in [runs[1], (["pydict", *schema_flag, "--db-id", "social"], runs[1][1]),
                         (["to-sql"], pydict),
                         (["render-edits", "--granularity", "clause-sql"], action)]:
-        assert loaded_modules(args, stdin, tmp_path) & _SCORING == set(), args
+        assert loaded_modules(args, stdin, tmp_path) & (_SCORING | _SQLITE) == set(), args
 
 
 @pytest.mark.parametrize("args", [["synth"], ["synth", "--workers", "2"],
@@ -993,6 +1026,60 @@ def test_a_file_that_cannot_be_opened_or_decoded_is_a_domain_error(
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {reason.format(path)}\n"
 
+
+@pytest.mark.parametrize("train_exists", [False, True])
+@pytest.mark.parametrize("dev_case", ["dir-missing", "is-a-directory"])
+def test_build_dev_writes_neither_file_unless_both_can_be_written(
+        schemas, tmp_path, train_exists, dev_case):
+    records = "".join(r.to_json() + "\n" for r in synthesize_train(build_mock_beams(), schemas))
+    train = tmp_path / "train.jsonl"
+    if train_exists:
+        train.write_text("an earlier train file\n", encoding="utf-8")
+    if dev_case == "dir-missing":
+        dev, reason = tmp_path / "no-such-dir" / "dev.jsonl", "No such file or directory"
+    else:
+        dev, reason = tmp_path / "dev", "Is a directory"
+        dev.mkdir()
+    proc = run_cli(["build-dev", "--n-dbs", "1", "--seed", "1", "--train-out", str(train),
+                    "--dev-out", str(dev)], stdin=records)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot write {dev}: {reason}\n"
+    expected = {"train.jsonl"} if train_exists else set()
+    if dev_case == "is-a-directory":
+        expected.add("dev")
+    assert {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")} == expected
+    if train_exists:
+        assert train.read_text(encoding="utf-8") == "an earlier train file\n"
+
+
+
+def test_build_dev_writes_through_a_symlink_and_into_a_pipe(schemas, tmp_path):
+    """A symlinked output replaces the file it names, which keeps its mode; a
+    path that is no regular file (a pipe here, or /dev/null) is written to."""
+    records = synthesize_train(build_mock_beams(), schemas)
+    split = build_dev_set(records, n_dbs=1, seed=1)
+    target = tmp_path / "data" / "train.jsonl"
+    target.parent.mkdir()
+    target.write_text("an earlier train file\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "train.jsonl"
+    link.symlink_to(target)
+    fifo = tmp_path / "dev.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    proc = run_cli(["build-dev", "--n-dbs", "1", "--seed", "1", "--train-out", str(link),
+                    "--dev-out", str(fifo)], stdin="".join(r.to_json() + "\n" for r in records))
+    reader.join(timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read == ["".join(r.to_json() + "\n" for r in split.dev)]
+    assert target.read_text(encoding="utf-8") == "".join(r.to_json() + "\n" for r in split.train)
+    assert link.is_symlink() and stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(path.name for path in tmp_path.rglob("*")) == \
+        ["data", "dev.fifo", "train.jsonl", "train.jsonl"]
 
 def test_a_decode_error_after_printed_lines_keeps_them(schema_flag, tmp_path):
     """Lines decoded before the bad bytes have run and printed, as the lines

@@ -1,6 +1,8 @@
 import json
 import math
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -395,3 +397,38 @@ def test_mcnemar_symmetry_and_monotonicity():
         p = mcnemar_counts(b, total - b).p
         assert p <= last + 1e-15
         last = p
+
+
+def test_sqlite_is_loaded_with_the_first_backend(db_dir):
+    """Importing metrics loads no SQLite; a backend built afterwards answers
+    and refuses as before."""
+    probe = ("import sys\n"
+             "from sqlpatch.errors import ExecutionError\n"
+             "from sqlpatch.metrics import SqliteBackend\n"
+             "print(sorted({'sqlite3', '_sqlite3'} & set(sys.modules)))\n"
+             "with SqliteBackend(sys.argv[1]) as backend:\n"
+             "    print(backend.execute('select count(*) from employee', 'hr'))\n"
+             "    for stmt in (\"attach database ':memory:' as other\", 'pragma x=1'):\n"
+             "        try:\n"
+             "            backend.execute(stmt, 'hr')\n"
+             "        except ExecutionError as exc:\n"
+             "            print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, str(db_dir)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n[(3,)]\nnot authorized\nnot authorized\n"
+
+
+def test_a_pickled_backend_answers_in_a_fresh_interpreter(db_dir):
+    """A pool worker under spawn or forkserver unpickles the backend without
+    having built one."""
+    dump = ("import pickle, sys\n"
+            "from sqlpatch.metrics import SqliteBackend\n"
+            "sys.stdout.buffer.write(pickle.dumps(SqliteBackend(sys.argv[1])))\n")
+    load = ("import pickle, sys\n"
+            "backend = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(backend.execute('select count(*) from employee', 'hr'))\n")
+    pickled = subprocess.run([sys.executable, "-c", dump, str(db_dir)], capture_output=True,
+                             check=True).stdout
+    proc = subprocess.run([sys.executable, "-c", load], input=pickled, capture_output=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", b"[(3,)]\n")
