@@ -222,8 +222,10 @@ def entry_from_clause_text(key: str, text: str) -> Entry:
 
 def clause_entries(text: str) -> list[tuple[str, Entry]]:
     """The (key, entry) pairs of a run of clause texts (or a whole query),
-    in one token pass."""
-    return _read_all([t.text for t in tokenize(text)])
+    in one token pass and in text order; each key appears once."""
+    pairs = _read_all([t.text for t in tokenize(text)])
+    ClauseMap(pairs)  # known keys, each once, with a value of its kind
+    return pairs
 
 
 def _read_all(tokens: list[str]) -> list[tuple[str, Entry]]:

@@ -19,10 +19,10 @@ from functools import partial
 from itertools import chain, islice
 
 # What every command runs; each command imports the rest it runs at its start.
-from .errors import DatasetError, SchemaError, SqlPatchError
+from .errors import DatasetError, SqlPatchError
 from .parse import parse_sql
 from .render import render
-from .schema import json_fields, load_tables_json
+from .schema import json_fields, load_tables_json, schema_of
 
 
 def main(argv=None) -> int:
@@ -247,14 +247,6 @@ def _query_from_text(text: str, args, parser):
     return parse_sql(text.strip(), _schema_for(args, parser))
 
 
-def _schema_of(schemas, db_id):
-    """The schema of a record's db_id; a domain error when it has none."""
-    schema = schemas.get(db_id)
-    if schema is None:
-        raise SchemaError(f"db_id {db_id!r} not present in the schema file")
-    return schema
-
-
 def _reason(exc) -> str:
     """What a domain error says; input nested past Python's recursion limit
     ends the run as one."""
@@ -438,7 +430,7 @@ _EVAL_FIELDS = dict.fromkeys(("db_id", "gold", "pred"), str)
 def _eval_line(line, schemas, backend):
     from .metrics import EvalOutcome, exact_set_match, execution_match, orders_result, query_rows
     db_id, gold_text, pred_text = json_fields(line, _EVAL_FIELDS)
-    schema = _schema_of(schemas, db_id)
+    schema = schema_of(schemas, db_id)
     pred = parse_sql(pred_text, schema)
     gold = parse_sql(gold_text, schema)
     ex = None
@@ -508,15 +500,10 @@ def _cmd_synth(args, parser) -> int:
 def _cmd_split_folds(args, parser) -> int:
     from .dataset import ParserOutput, split_folds
     outputs = list(_map_lines(ParserOutput.from_json, args.input))
-    folds = split_folds(outputs, args.folds)
-    assignment = {}
-    for i, fold in enumerate(folds):
-        for output in fold:
-            assignment.setdefault(output.db_id, i)
-    for output in outputs:
-        if output.db_id in assignment:
-            print(json.dumps({"db_id": output.db_id,
-                              "fold": assignment.pop(output.db_id)}))
+    fold_of = {output.db_id: i for i, fold in enumerate(split_folds(outputs, args.folds))
+               for output in fold}
+    for db_id in dict.fromkeys(output.db_id for output in outputs):  # first-seen order
+        print(json.dumps({"db_id": db_id, "fold": fold_of[db_id]}))
     return 0
 
 
@@ -556,7 +543,7 @@ def _simulate_line(line, schemas, args, external) -> str:
     from .dataset import ExampleRecord, representation
     from .interact import OracleGenerator, simulate
     record = ExampleRecord.from_json(line)
-    schema = _schema_of(schemas, record.db_id)
+    schema = schema_of(schemas, record.db_id)
     rep = representation(record.query_rep, record.edit_rep)
     gold = rep.diff(parse_sql(record.wrong_sql, schema), parse_sql(record.gold_sql, schema))
     generator = external

@@ -25,7 +25,7 @@ from .parse import parse_sql
 from .program import EditProgram, Pop, parse_program, render_program
 from .pydict import render_pydict
 from .render import render
-from .schema import SchemaInfo, has_type, json_fields
+from .schema import SchemaInfo, has_type, json_fields, schema_of
 from .vm import apply_clause_edits, apply_token_edits, clause_content_pairs, exec_program
 
 POLICIES = ("either", "both")
@@ -259,9 +259,7 @@ def synthesize_train(outputs: list[ParserOutput], schemas: dict[str, SchemaInfo]
         raise DatasetError(f"unknown wrongness policy {policy!r}")
     records: list[ExampleRecord] = []
     for output in outputs:
-        schema = schemas.get(output.db_id)
-        if schema is None:
-            raise DatasetError(f"schema missing for db_id {output.db_id!r}")
+        schema = schema_of(schemas, output.db_id)
         run = None if backend is None else partial(query_rows, backend, db_id=output.db_id)
         try:
             gold = _Query(parse_sql(output.gold_sql, schema), run)
@@ -323,22 +321,11 @@ def make_record(output: ParserOutput, rank: int, score: float, schema: SchemaInf
                 wrong_ast, gold_ast, query_rep: str, edit_rep: str,
                 program_only: bool = False) -> Optional[ExampleRecord]:
     """Build one ExampleRecord, or None when the pair has no edits. Each
-    query is an AST or the value synthesize_train wraps it in."""
+    query is an AST or the value synthesize_train wraps it in. x = utterance
+    | schema | wrong query; y = edits <sep> gold query, or the edits alone
+    in program-only mode."""
     rep = representation(query_rep, edit_rep)
     wrong, gold = (q if isinstance(q, _Query) else _Query(q) for q in (wrong_ast, gold_ast))
-    schema_serial = schema.serialize()
-    example = _example(rep, output.question, schema_serial, wrong, gold, program_only)
-    if example is None:
-        return None
-    return ExampleRecord(output.db_id, output.question, schema_serial, wrong.sql, gold.sql,
-                         query_rep, edit_rep, *example, rank, score)  # example: x, y, n_edits
-
-
-def _example(rep: Representation, question: str, schema_serial: str, wrong: _Query,
-             gold: _Query, program_only: bool) -> Optional[tuple[str, str, int]]:
-    """x = utterance | schema | wrong query, y = edits <sep> gold query (or
-    the edits alone in program-only mode), and the edit count; None when
-    the pair has no edits."""
     edits = rep.diff(rep.prepare(wrong), rep.prepare(gold))
     if not edits:
         return None
@@ -348,7 +335,10 @@ def _example(rep: Representation, question: str, schema_serial: str, wrong: _Que
             raise DatasetError("program-only serialization requires program edits")
     else:
         y += Y_SEPARATOR + rep.render_query(gold)
-    return X_SEPARATOR.join([question, schema_serial, rep.render_query(wrong)]), y, len(edits)
+    schema_serial = schema.serialize()
+    x = X_SEPARATOR.join([output.question, schema_serial, rep.render_query(wrong)])
+    return ExampleRecord(output.db_id, output.question, schema_serial, wrong.sql, gold.sql,
+                         query_rep, edit_rep, x, y, len(edits), rank, score)
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,8 @@ def simulate(record: ExampleRecord, gold, generator: GeneratorAdapter,
              beam_size: int = 3) -> SessionLog:
     remaining = gold_action_strings(gold)
     log = SessionLog()
-    prefix: list[str] = []
     while remaining:
-        candidates = list(generator.propose(record.x, list(prefix), beam_size))[:beam_size]
+        candidates = list(generator.propose(record.x, list(log.selected), beam_size))[:beam_size]
         found = None
         depth = 0
         max_len = max((len(c.actions) for c in candidates), default=0)
@@ -92,7 +91,6 @@ def simulate(record: ExampleRecord, gold, generator: GeneratorAdapter,
         if found is None:
             break
         remaining.remove(found)
-        prefix.append(found)
         log.selected.append(found)
     log.result_sql = execute_selected(record, log.selected)
     log.fully_corrected = log.result_sql == record.gold_sql

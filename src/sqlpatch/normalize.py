@@ -17,8 +17,8 @@ from typing import Optional
 
 from .errors import NormalizeError, ParseError
 from .nodes import (
-    BoolExpr, BoolOp, ColumnRef, ColUnit, Condition, FromClause, JoinedTable,
-    Literal, Query, ValueList, ValUnit,
+    BoolExpr, BoolOp, ColumnRef, ColUnit, Condition, FromClause, Literal, Query,
+    ValueList, ValUnit,
 )
 from .schema import SchemaInfo
 
@@ -26,14 +26,13 @@ from .schema import SchemaInfo
 def normalize(query: Query, schema: SchemaInfo) -> Query:
     """Check and resolve query in place, and return it. Every reference
     node is rewritten where it stands, so the tree must share no node; the
-    parser builds such a tree and hands it here before anything else sees it."""
+    parser builds such a tree and hands it here before anything else sees it.
+    Each query's scope writes its FROM tables; this walk writes the columns."""
     fc = query.from_clause
     if fc.subquery is not None:
         normalize(fc.subquery, schema)
     scope = _Scope(fc, schema)
     for jt in fc.tables:
-        jt.table = jt.table.lower()
-        jt.alias = scope.kept_alias(jt)
         for cond in jt.conds:
             _cond(cond, scope)
     fc.subquery_alias = None
@@ -57,7 +56,9 @@ class _Scope:
     subquery, the tables visible inside it. ``quals`` maps each declared
     qualifier (a table name or an alias) to the tables it can mean; a FROM
     subquery's alias means all of them, and is dropped. ``kept`` holds the
-    aliases of repeated tables, which stay in the output.
+    aliases of repeated tables, which stay in the output. Building the scope
+    writes each FROM table's name in lower case, and its alias only when it
+    is kept.
     """
 
     def __init__(self, fc: FromClause, schema: SchemaInfo):
@@ -75,22 +76,19 @@ class _Scope:
         self.kept: set[str] = set()
         aliases: set[str] = set()
         for jt, table in zip(fc.tables, names):
-            if jt.alias:
-                alias = jt.alias.lower()
+            alias = jt.alias.lower() if jt.alias else None
+            jt.table, jt.alias = table, None
+            if alias:
                 if alias in aliases:
                     raise NormalizeError(f"alias {alias!r} declared more than once")
                 aliases.add(alias)
                 self.quals[alias] = (table,)
                 if counts[table] > 1:
                     self.kept.add(alias)
+                    jt.alias = alias
         self.sub_alias = fc.subquery_alias.lower() if fc.subquery_alias else None
         if self.sub_alias:
             self.quals[self.sub_alias] = tuple(self.tables)
-
-    def kept_alias(self, jt: JoinedTable) -> Optional[str]:
-        if jt.alias and jt.alias.lower() in self.kept:
-            return jt.alias.lower()
-        return None
 
     def resolve(self, col: ColumnRef) -> None:
         col.column = column = col.column.lower()

@@ -66,12 +66,17 @@ class EditProgram(Record, hashable=True):
 def render_program(program: EditProgram) -> str:
     lines = []
     for stmt in program.stmts:
-        path = "".join(f"[{json.dumps(k)}]" for k in stmt.path)
+        path = render_path(stmt.path)
         if isinstance(stmt, Assign):
-            lines.append(f"sql{path} = {json.dumps(stmt.value, ensure_ascii=False)}")
+            lines.append(f"{path} = {json.dumps(stmt.value, ensure_ascii=False)}")
         else:
-            lines.append(f"sql{path}.pop({json.dumps(stmt.key)})")
+            lines.append(f"{path}.pop({json.dumps(stmt.key)})")
     return "\n".join(lines)
+
+
+def render_path(path) -> str:
+    """The text of the entry at path from the root, as statements write it."""
+    return "sql" + "".join(f"[{json.dumps(key)}]" for key in path)
 
 
 def parse_program(text: str) -> EditProgram:
@@ -83,8 +88,7 @@ def parse_program(text: str) -> EditProgram:
             try:
                 stmts.append(_parse_stmt(line))
             except ProgramError as exc:
-                exc.line = lineno
-                raise
+                raise ProgramError(f"line {lineno}: {exc}", lineno) from None
     return EditProgram(tuple(stmts))
 
 

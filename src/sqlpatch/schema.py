@@ -98,6 +98,14 @@ def load_tables_json(path) -> dict[str, SchemaInfo]:
     return store
 
 
+def schema_of(schemas: dict[str, SchemaInfo], db_id: str) -> SchemaInfo:
+    """The schema of a record's db_id; a domain error when it has none."""
+    schema = schemas.get(db_id)
+    if schema is None:
+        raise SchemaError(f"db_id {db_id!r} not present in the schema file")
+    return schema
+
+
 def json_fields(line: str, types: dict, only: bool = False, defaults=None) -> list:
     """The fields named in types of the JSON object on one input line, in
     that order, a missing one read from defaults when it is there; a

@@ -20,7 +20,7 @@ from .diffs import DiffItem
 from .editscript import EditScript
 from .errors import ApplyError, ExecError, MapError, PyDictError, SqlPatchError, TokenizeError
 from .nodes import Record
-from .program import Assign, EditProgram
+from .program import Assign, EditProgram, render_path
 from .pydict import parse_entry_fragments
 from .tokens import detokenize, tokenize
 
@@ -58,17 +58,17 @@ def _exec_assign(root: ClauseMap, stmt: Assign) -> None:
         else:  # a Composite takes only the placeholders its clause text references
             raise MapError(f"placeholder {key!r} is not referenced by the clause text")
     except SqlPatchError as exc:
-        raise ExecError(f"cannot assign {_fmt(stmt.path)}: {exc}") from None
+        raise ExecError(f"cannot assign {render_path(stmt.path)}: {exc}") from None
 
 
 def _pop(root: ClauseMap, path, key: str) -> None:
     container = _descend(root, path)
     if isinstance(container, Composite):
         raise ExecError(
-            f"cannot pop {key!r} from {_fmt(path)}: the clause text "
+            f"cannot pop {key!r} from {render_path(path)}: the clause text "
             f"still references its placeholders")
     if key not in container:
-        raise ExecError(f"pop of absent key {key!r} at {_fmt(path)}")
+        raise ExecError(f"pop of absent key {key!r} at {render_path(path)}")
     container.pop(key)
 
 
@@ -78,22 +78,18 @@ def _descend(root: ClauseMap, path):
         if isinstance(node, ClauseMap):
             entry = node.get(key)
             if entry is None:
-                raise ExecError(f"missing intermediate key {key!r} in {_fmt(path[:i + 1])}")
+                raise ExecError(f"missing intermediate key {key!r} in {render_path(path[:i + 1])}")
             node = entry
         elif isinstance(node, Composite):
             sub = node.subqueries.get(key)
             if sub is None:
-                raise ExecError(f"missing subquery {key!r} in {_fmt(path[:i + 1])}")
+                raise ExecError(f"missing subquery {key!r} in {render_path(path[:i + 1])}")
             node = sub
         else:
-            raise ExecError(f"{_fmt(path[:i])} is plain clause text, cannot descend into it")
+            raise ExecError(f"{render_path(path[:i])} is plain clause text, cannot descend into it")
     if isinstance(node, str):
-        raise ExecError(f"{_fmt(path)} is plain clause text, cannot descend into it")
+        raise ExecError(f"{render_path(path)} is plain clause text, cannot descend into it")
     return node
-
-
-def _fmt(path) -> str:
-    return "sql" + "".join(f'["{p}"]' for p in path)
 
 
 # ---------------------------------------------------------------------------

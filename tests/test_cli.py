@@ -500,9 +500,17 @@ def test_synth_split_dev_stats_pipeline(schema_flag, tmp_path):
 
     folds = run_cli(["split-folds", "--folds", "3"], stdin=beams)
     assert folds.returncode == 0
-    assignment = [json.loads(line) for line in folds.stdout.splitlines()]
-    assert {a["db_id"] for a in assignment} == {"social", "cars", "hr"}
-    assert {a["fold"] for a in assignment} == {0, 1, 2}
+    assert folds.stdout == ('{"db_id": "social", "fold": 0}\n{"db_id": "cars", "fold": 1}\n'
+                            '{"db_id": "hr", "fold": 2}\n')
+    # one line per database in first-seen order, not in fold order: with
+    # social seen first but smallest, cars and hr fill folds 0 and 1 first
+    social = [o for o in build_mock_beams() if o.db_id == "social"]
+    fewer = social[:4] + [o for o in build_mock_beams() if o.db_id != "social"]
+    folds = run_cli(["split-folds", "--folds", "3"],
+                    stdin="\n".join(o.to_json() for o in fewer))
+    assert folds.returncode == 0
+    assert folds.stdout == ('{"db_id": "social", "fold": 2}\n{"db_id": "cars", "fold": 0}\n'
+                            '{"db_id": "hr", "fold": 1}\n')
 
     train_out = tmp_path / "train.jsonl"
     dev_out = tmp_path / "dev.jsonl"

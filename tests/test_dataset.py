@@ -11,7 +11,9 @@ from sqlpatch.dataset import (
     dataset_stats, make_record, split_folds, synthesize_train,
 )
 from sqlpatch.editscript import parse_edits
-from sqlpatch.errors import BackendUnavailable, DatasetError, ExecutionError, SqlPatchError
+from sqlpatch.errors import (
+    BackendUnavailable, DatasetError, ExecutionError, SchemaError, SqlPatchError,
+)
 from sqlpatch.metrics import SqliteBackend
 from sqlpatch.parse import parse_sql
 from sqlpatch.program import parse_program
@@ -210,7 +212,7 @@ def test_beam_dedup(schemas):
 
 def test_missing_schema(schemas):
     output = ParserOutput("unknown_db", "q", "select 1", (("select 1", 1.0),))
-    with pytest.raises(DatasetError, match="schema missing"):
+    with pytest.raises(SchemaError, match="db_id 'unknown_db' not present in the schema file"):
         synthesize_train([output], schemas)
 
 

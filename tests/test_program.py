@@ -65,6 +65,11 @@ def test_error_carries_line_number():
     with pytest.raises(ProgramError) as err:
         parse_program('sql.pop("groupBy")\nsql["x"')
     assert err.value.line == 2
+    assert str(err.value).startswith("line 2: ")
+    with pytest.raises(ProgramError) as err:
+        parse_program('sql.pop("groupBy")\n\nsql["nope"] = "limit 1"')
+    assert err.value.line == 3
+    assert str(err.value) == "line 3: invalid key 'nope'"
 
 
 def test_other_method_calls_rejected():

@@ -15,7 +15,7 @@ from sqlpatch.diffs import (
 from sqlpatch.editscript import EditAction, EditScript, parse_edits, render_edits
 from sqlpatch.errors import ApplyError, ExecError, ProgramError
 from sqlpatch.parse import parse_sql
-from sqlpatch.program import EditProgram, Pop, parse_program, render_program
+from sqlpatch.program import EditProgram, Pop, parse_program, render_path, render_program
 from sqlpatch.pydict import render_entry_fragment
 from sqlpatch.vm import apply_clause_edits, apply_token_edits, exec_program, locate_clause_edits
 
@@ -257,7 +257,10 @@ LEADS = {"select": "select", "from": "from", "where": "where", "groupBy": "group
 def _mutated(granularity, mutation, rng, key, entry):
     """(key, entry) with its key misspelled (in clause-sql, the keyword that
     names the clause), another clause's keyword at the head of its clause
-    text, or a stray ")" after that text."""
+    text, a stray ")" after that text, or the clause written twice."""
+    if mutation == "repeated clause":
+        text = entry_value_sql(entry)
+        return key, f"{text} {text}"
     if mutation == "misspelled key" and granularity != "clause-sql":
         return key[:-1], entry
     text = entry.clause if isinstance(entry, Composite) else entry
@@ -281,8 +284,8 @@ def _edit_text(granularity, items, target=None, mutant=None):
         if granularity == "program":
             if item.kind == "delete":
                 lines.append(render_program(EditProgram((Pop(item.path, item.old[0][0]),))))
-            lines += ["sql" + "".join(f"[{json.dumps(part)}]" for part in item.path + (key,))
-                      + f" = {json.dumps(entry_value_sql(entry))}" for key, entry in pairs]
+            lines += [f"{render_path(item.path + (key,))} = {json.dumps(entry_value_sql(entry))}"
+                      for key, entry in pairs]
             continue
         render, sep = ((render_entry_fragment, ", ") if granularity == "clause-pydict"
                        else (entry_sql, " "))
@@ -299,7 +302,8 @@ def _run(granularity, wrong_map, text):
     return apply_clause_edits(wrong_map, parse_edits(text, granularity))
 
 
-@pytest.mark.parametrize("mutation", ["keyword", "misspelled key", "stray paren"])
+@pytest.mark.parametrize("mutation", ["keyword", "misspelled key", "stray paren",
+                                      "repeated clause"])
 @pytest.mark.parametrize("granularity", ["clause-sql", "clause-pydict", "program"])
 def test_mutated_content_is_refused(fuzzed_maps, granularity, mutation):
     rng = random.Random(f"{granularity} {mutation}")
